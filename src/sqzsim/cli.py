@@ -63,6 +63,8 @@ def cmd_simulate(args):
         trace, report = run_spec(spec, noiseless=args.noiseless, seed=args.seed)
     except (InfeasibleMeasurementError, ValueError) as exc:
         return _fail(exc, EXIT_DOMAIN)
+    except OverflowError as exc:
+        return _fail(f"numeric overflow in the report: {exc}", EXIT_DOMAIN)
     try:
         write_trace_csv(trace, args.csv)
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:

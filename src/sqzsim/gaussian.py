@@ -30,21 +30,22 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
+        self._normalise(self.mean, self.cov)
+        test = self.cov + 1j * symplectic_form(self.n_modes)
+        if float(np.linalg.eigvalsh(test).min()) < UNCERTAINTY_TOL:
+            raise ValueError("covariance matrix violates the uncertainty relation")
+
+    def _normalise(self, mean, cov):
+        """Store read-only float arrays after the shape, finiteness and symmetry checks."""
+        mean = np.array(mean, dtype=float)
+        cov = np.array(cov, dtype=float)
         if mean.ndim != 1 or mean.size == 0 or mean.size % 2:
             raise ValueError("mean must be a vector of length 2*n_modes")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("cov must be a 2N x 2N matrix matching the mean")
         if not np.isfinite(mean).all() or not np.isfinite(cov).all():
             raise ValueError("state contains non-finite values")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
-            raise ValueError("covariance matrix is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        test = cov + 1j * symplectic_form(mean.size // 2)
-        if float(np.linalg.eigvalsh(test).min()) < UNCERTAINTY_TOL:
-            raise ValueError("covariance matrix violates the uncertainty relation")
+        cov = _symmetrised(cov, "covariance matrix is not symmetric")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -67,22 +68,22 @@ class GaussianChannel:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=float)
-        Y = np.array(self.Y, dtype=float)
+        self._normalise(self.X, self.Y)
+        omega = symplectic_form(self.n_modes)
+        test = self.Y + 1j * (omega - self.X @ omega @ self.X.T)
+        if float(np.linalg.eigvalsh(test).min()) < CP_TOL:
+            raise ValueError("channel is not completely positive")
+
+    def _normalise(self, X, Y):
+        X = np.array(X, dtype=float)
+        Y = np.array(Y, dtype=float)
         if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] % 2:
             raise ValueError("X must be a square 2N x 2N matrix")
         if Y.shape != X.shape:
             raise ValueError("Y must have the same shape as X")
         if not np.isfinite(X).all() or not np.isfinite(Y).all():
             raise ValueError("channel contains non-finite values")
-        scale = max(1.0, float(np.abs(Y).max()))
-        if float(np.abs(Y - Y.T).max()) > SYMMETRY_RTOL * scale:
-            raise ValueError("Y must be symmetric")
-        Y = 0.5 * (Y + Y.T)
-        omega = symplectic_form(X.shape[0] // 2)
-        test = Y + 1j * (omega - X @ omega @ X.T)
-        if float(np.linalg.eigvalsh(test).min()) < CP_TOL:
-            raise ValueError("channel is not completely positive")
+        Y = _symmetrised(Y, "Y must be symmetric")
         X.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -95,7 +96,26 @@ class GaussianChannel:
     def apply(self, state):
         if state.n_modes != self.n_modes:
             raise ValueError("channel and state mode counts differ")
-        return GaussianState(self.X @ state.mean, self.X @ state.cov @ self.X.T + self.Y)
+        return _trusted(GaussianState, self.X @ state.mean, self.X @ state.cov @ self.X.T + self.Y)
+
+
+def _symmetrised(matrix, message):
+    scale = max(1.0, float(np.abs(matrix).max()))
+    if float(np.abs(matrix - matrix.T).max()) > SYMMETRY_RTOL * scale:
+        raise ValueError(message)
+    return 0.5 * (matrix + matrix.T)
+
+
+def _trusted(cls, first, second):
+    """`cls(first, second)` for a GaussianState or GaussianChannel, minus the eigenvalue check.
+
+    Only for the package's own products: the element channels below are
+    completely positive by construction from range-checked scalars, and a
+    completely positive channel maps valid states to valid states.
+    """
+    obj = object.__new__(cls)
+    obj._normalise(first, second)
+    return obj
 
 
 def vacuum(n_modes):
@@ -157,40 +177,23 @@ def embed_pair(block4, mode_a, mode_b, n_modes):
     return full
 
 
-def _apply_symplectic(state, S):
-    return GaussianState(S @ state.mean, S @ state.cov @ S.T)
-
-
 def apply_squeezer(state, mode, r, phase=0.0):
     """Squeeze one mode: x-variance times e^-2r, p-variance times e^+2r at phase 0."""
-    _check_mode(state, mode)
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
-    return _apply_symplectic(state, embed_single(squeeze_symplectic(r, phase), mode, state.n_modes))
+    return squeezer_channel(state.n_modes, mode, r, phase).apply(state)
 
 
 def apply_phaseshift(state, mode, theta):
     """Rotate one mode's quadratures by theta."""
-    _check_mode(state, mode)
-    return _apply_symplectic(state, embed_single(phaseshift_symplectic(theta), mode, state.n_modes))
+    return phaseshift_channel(state.n_modes, mode, theta).apply(state)
 
 
 def apply_coupler(state, mode_a, mode_b, ratio):
     """Mix two modes on a coupler with power splitting ratio in [0, 1]."""
-    _check_mode(state, mode_a)
-    _check_mode(state, mode_b)
-    if mode_a == mode_b:
-        raise ValueError("coupler requires two distinct modes")
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("splitting ratio must lie in [0, 1]")
-    return _apply_symplectic(state, embed_pair(coupler_symplectic(ratio), mode_a, mode_b, state.n_modes))
+    return coupler_channel(state.n_modes, mode_a, mode_b, ratio).apply(state)
 
 
 def apply_loss(state, mode, eta):
     """Attenuate one mode: cov block -> eta*block + (1-eta)*I, mean scaled by sqrt(eta)."""
-    _check_mode(state, mode)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("efficiency eta must lie in [0, 1]")
     return loss_channel(state.n_modes, mode, eta).apply(state)
 
 
@@ -248,12 +251,13 @@ def squeezer_channel(n_modes, mode, r, phase=0.0, excess=1.0):
             noise = rot @ noise @ rot.T
         sl = slice(2 * mode, 2 * mode + 2)
         Y[sl, sl] = noise
-    return GaussianChannel(X, Y)
+    return _trusted(GaussianChannel, X, Y)
 
 
 def phaseshift_channel(n_modes, mode, theta):
     _check_mode(n_modes, mode)
-    return symplectic_channel(embed_single(phaseshift_symplectic(theta), mode, n_modes))
+    X = embed_single(phaseshift_symplectic(theta), mode, n_modes)
+    return _trusted(GaussianChannel, X, np.zeros_like(X))
 
 
 def coupler_channel(n_modes, mode_a, mode_b, ratio):
@@ -263,7 +267,8 @@ def coupler_channel(n_modes, mode_a, mode_b, ratio):
         raise ValueError("coupler requires two distinct modes")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("splitting ratio must lie in [0, 1]")
-    return symplectic_channel(embed_pair(coupler_symplectic(ratio), mode_a, mode_b, n_modes))
+    X = embed_pair(coupler_symplectic(ratio), mode_a, mode_b, n_modes)
+    return _trusted(GaussianChannel, X, np.zeros_like(X))
 
 
 def loss_channel(n_modes, mode, eta):
@@ -274,4 +279,4 @@ def loss_channel(n_modes, mode, eta):
     Y = np.zeros((2 * n_modes, 2 * n_modes))
     sl = slice(2 * mode, 2 * mode + 2)
     Y[sl, sl] = (1.0 - eta) * np.eye(2)
-    return GaussianChannel(X, Y)
+    return _trusted(GaussianChannel, X, Y)

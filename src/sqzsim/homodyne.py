@@ -8,7 +8,7 @@ finite RBW/VBW estimator scatter.
 """
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,12 +75,17 @@ def measure_variance(state, mode, theta, config):
     return quadrature_variance(apply_loss(state, mode, eta), mode, theta)
 
 
+def phase_grid(a, b, n):
+    """n equally spaced LO phases from a (inclusive) to b (exclusive)."""
+    return a + (b - a) / n * np.arange(n)
+
+
 def _resolve_phases(phase_spec):
     if isinstance(phase_spec, tuple) and len(phase_spec) == 3:
         a, b, n = phase_spec
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise ValueError("sweep needs at least 2 points")
-        return a + (b - a) / n * np.arange(n)
+        return phase_grid(a, b, n)
     phases = np.asarray(phase_spec, dtype=float)
     if phases.ndim != 1 or phases.size < 2:
         raise ValueError("sweep needs at least 2 points")
@@ -90,7 +95,8 @@ def _resolve_phases(phase_spec):
 def sweep(state, mode, config, phase_spec):
     """Noiseless variance-vs-phase trace in dB over `phase_spec` = (a, b, n) or an array."""
     phases = _resolve_phases(phase_spec)
-    db = np.array([to_db(measure_variance(state, mode, theta, config)) for theta in phases])
+    detected = apply_loss(state, mode, effective_efficiency(config))
+    db = np.array([to_db(quadrature_variance(detected, mode, theta)) for theta in phases])
     return HomodyneTrace(phases=phases, variance_db=db, config=config, noiseless=True)
 
 
@@ -112,11 +118,6 @@ def synthesize_trace(trace, config=None):
     linear = np.maximum(linear, 1e-300)  # keeps the dB conversion finite at absurd M
     return HomodyneTrace(phases=trace.phases, variance_db=to_db(linear),
                          config=config, noiseless=False)
-
-
-def with_seed(config, seed):
-    """Copy of a config with the noise seed replaced."""
-    return replace(config, seed=seed)
 
 
 def write_trace_csv(trace, target):

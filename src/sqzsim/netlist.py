@@ -1,12 +1,13 @@
 """Line-oriented netlist format for the photonic chip, plus its compiler.
 
 Grammar (one statement per line, `#` starts a comment, tokens are
-whitespace separated, parameters are `key=value`):
+whitespace separated, parameters are `key=value`, optional ones shown in
+brackets with their defaults, which live in the `Squeezer` and
+`HomodyneConfig` field defaults):
 
     # sqzsim netlist v1
     modes: sig lo
-    squeezer sig r=0.5 [phase=0.0] [excess=1.0]
-    squeezer sig pump_mw=40 gain=0.058 [phase=0.0] [excess=1.0]
+    squeezer sig (r=0.5 | pump_mw=40 gain=0.058) [phase=0.0] [excess=1.0]
     phaseshift sig theta=1.570796
     coupler sig lo ratio=0.5
     loss sig eta=0.99 [label=filter]
@@ -16,7 +17,8 @@ whitespace separated, parameters are `key=value`):
 
 Mode names are lowercase identifiers and must be declared on a `modes:`
 line before use. `sweep=a:b:n` means n equally spaced local-oscillator
-phases from a (inclusive) to b (exclusive). A squeezer is given either an
+phases from a (inclusive) to b (exclusive), with a != b and
+2 <= n <= MAX_SWEEP_POINTS (100000). A squeezer is given either an
 explicit `r` or a pump power with a single-pass gain (r = gain*sqrt(pump));
 `excess` multiplies the antisqueezed variance produced from vacuum, with
 1.0 the pure minimum-uncertainty squeezer. Exactly one homodyne statement
@@ -33,7 +35,7 @@ out-of-range. Parameter values are validated before mode references, so
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,9 +45,10 @@ from .gaussian import (
     phaseshift_channel,
     squeezer_channel,
 )
-from .homodyne import HomodyneConfig
+from .homodyne import HomodyneConfig, phase_grid
 
 VERSION_HEADER = "# sqzsim netlist v1"
+MAX_SWEEP_POINTS = 100_000
 
 _IDENT = re.compile(r"[a-z][a-z0-9_]*\Z")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
@@ -103,11 +106,11 @@ class Homodyne:
     eta_e: float
     ratio: float
     sweep: tuple
-    visibility: float = 1.0
-    rbw: float = 1.0e5
-    vbw: float = 30.0
-    center_freq: float = 2.0e6
-    sweep_time: float = 1.0
+    visibility: float = HomodyneConfig.visibility
+    rbw: float = HomodyneConfig.rbw
+    vbw: float = HomodyneConfig.vbw
+    center_freq: float = HomodyneConfig.center_freq
+    sweep_time: float = HomodyneConfig.sweep_time
 
 
 @dataclass(frozen=True)
@@ -159,10 +162,17 @@ def _parse_value(key, text, line, col):
             _err("bad-number", line, col, f"sweep bounds in '{text}' are not finite")
         if not _INT.match(parts[2]):
             _err("bad-number", line, col, f"sweep count in '{text}' is not an integer")
-        n = int(parts[2])
+        digits = parts[2].lstrip("0") or "0"
+        # digit count first: int() refuses strings longer than 4300 digits
+        if len(digits) > len(str(MAX_SWEEP_POINTS)) or int(digits) > MAX_SWEEP_POINTS:
+            _err("out-of-range", line, col, f"sweep count in '{text}' exceeds {MAX_SWEEP_POINTS}")
+        n = int(digits)
         if n < 2:
             _err("out-of-range", line, col, f"sweep needs at least 2 points, got {n}")
-        return (float(parts[0]), float(parts[1]), n)
+        a, b = float(parts[0]), float(parts[1])
+        if a == b:
+            _err("out-of-range", line, col, f"sweep '{text}' has equal bounds")
+        return (a, b, n)
     if not _NUMBER.match(text):
         _err("bad-number", line, col, f"'{text}' is not a number")
     value = float(text)
@@ -258,10 +268,7 @@ def parse(source):
             if "r" not in params:
                 _require(params, ("pump_mw", "gain"), line_no, head_col, "squeezer")
             _check_declared(modes, declared, line_no)
-            statements.append(Squeezer(mode=modes[0][0], r=params.get("r"),
-                                       pump_mw=params.get("pump_mw"), gain=params.get("gain"),
-                                       phase=params.get("phase", 0.0),
-                                       excess=params.get("excess", 1.0)))
+            statements.append(Squeezer(mode=modes[0][0], **params))
             continue
 
         if head == "phaseshift":
@@ -296,18 +303,11 @@ def parse(source):
                                          ("eta_pd", "eta_e", "ratio", "sweep", "visibility",
                                           "rbw", "vbw", "center_freq", "sweep_time"))
             _require(params, ("eta_pd", "eta_e", "ratio", "sweep"), line_no, head_col, "homodyne")
-            rbw = params.get("rbw", 1.0e5)
-            vbw = params.get("vbw", 30.0)
-            if vbw > rbw:
+            measurement = Homodyne(mode=modes[0][0], **params)
+            if measurement.vbw > measurement.rbw:
                 _err("out-of-range", line_no, cols.get("vbw", cols.get("rbw", head_col)),
-                     f"vbw={vbw} exceeds rbw={rbw}")
+                     f"vbw={measurement.vbw} exceeds rbw={measurement.rbw}")
             _check_declared(modes, declared, line_no)
-            measurement = Homodyne(mode=modes[0][0], eta_pd=params["eta_pd"], eta_e=params["eta_e"],
-                                   ratio=params["ratio"], sweep=params["sweep"],
-                                   visibility=params.get("visibility", 1.0),
-                                   rbw=rbw, vbw=vbw,
-                                   center_freq=params.get("center_freq", 2.0e6),
-                                   sweep_time=params.get("sweep_time", 1.0))
             measurement_line = line_no
             continue
 
@@ -328,6 +328,13 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _non_default(statement, keys):
+    """` key=value` for each optional key whose value differs from its field default."""
+    defaults = {f.name: f.default for f in fields(statement)}
+    return "".join(f" {k}={_fmt(getattr(statement, k))}" for k in keys
+                   if getattr(statement, k) != defaults[k])
+
+
 def pretty_print(spec):
     """Canonical text for a CircuitSpec; parses back to an identical spec."""
     out = [VERSION_HEADER, "modes: " + " ".join(spec.modes)]
@@ -338,10 +345,7 @@ def pretty_print(spec):
                 line += f"r={_fmt(st.r)}"
             else:
                 line += f"pump_mw={_fmt(st.pump_mw)} gain={_fmt(st.gain)}"
-            if st.phase != 0.0:
-                line += f" phase={_fmt(st.phase)}"
-            if st.excess != 1.0:
-                line += f" excess={_fmt(st.excess)}"
+            line += _non_default(st, ("phase", "excess"))
         elif isinstance(st, PhaseShift):
             line = f"phaseshift {st.mode} theta={_fmt(st.theta)}"
         elif isinstance(st, Coupler):
@@ -357,17 +361,7 @@ def pretty_print(spec):
     a, b, n = m.sweep
     line = (f"homodyne {m.mode} eta_pd={_fmt(m.eta_pd)} eta_e={_fmt(m.eta_e)} "
             f"ratio={_fmt(m.ratio)} sweep={_fmt(a)}:{_fmt(b)}:{n}")
-    if m.visibility != 1.0:
-        line += f" visibility={_fmt(m.visibility)}"
-    if m.rbw != 1.0e5:
-        line += f" rbw={_fmt(m.rbw)}"
-    if m.vbw != 30.0:
-        line += f" vbw={_fmt(m.vbw)}"
-    if m.center_freq != 2.0e6:
-        line += f" center_freq={_fmt(m.center_freq)}"
-    if m.sweep_time != 1.0:
-        line += f" sweep_time={_fmt(m.sweep_time)}"
-    out.append(line)
+    out.append(line + _non_default(m, ("visibility", "rbw", "vbw", "center_freq", "sweep_time")))
     return "\n".join(out) + "\n"
 
 
@@ -389,9 +383,7 @@ def compile_spec(spec):
         else:
             raise TypeError(f"unknown statement type {type(st).__name__}")
     m = spec.measurement
-    a, b, count = m.sweep
-    phases = a + (b - a) / count * np.arange(count)
     config = HomodyneConfig(eta_pd=m.eta_pd, eta_e=m.eta_e, coupler_ratio=m.ratio,
                             visibility=m.visibility, center_freq=m.center_freq,
                             rbw=m.rbw, vbw=m.vbw, sweep_time=m.sweep_time)
-    return channels, MeasurementPlan(mode=index[m.mode], phases=phases, config=config)
+    return channels, MeasurementPlan(mode=index[m.mode], phases=phase_grid(*m.sweep), config=config)

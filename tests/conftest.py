@@ -1,6 +1,7 @@
 """Shared randomised-input builders for the property tests."""
 
 import numpy as np
+from hypothesis import settings
 
 from sqzsim import (
     CircuitSpec,
@@ -15,6 +16,10 @@ from sqzsim import (
     apply_squeezer,
     vacuum,
 )
+
+# Bounded and reproducible, so the property tests stay a small share of Tier-1.
+settings.register_profile("sqzsim", max_examples=50, deadline=None, derandomize=True)
+settings.load_profile("sqzsim")
 
 
 def random_gaussian_state(rng, n_modes=None, max_ops=6, min_eta=0.2):

@@ -6,7 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
-from sqzsim import data_path
+import sqzsim.simulate
+from sqzsim import HomodyneTrace, data_path
 from sqzsim.cli import main
 
 CHIP = data_path("paper_chip.nl")
@@ -111,6 +112,50 @@ def test_simulate_rejects_invalid_netlist(tmp_path, capsys):
     assert main(["simulate", str(bad), "--noiseless",
                  "--csv", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")]) == 2
     assert "missing-measurement" in capsys.readouterr().err
+
+
+def test_simulate_loss_before_squeezer_is_infeasible(tmp_path, capsys):
+    # eta_total counts the loss although it acts on vacuum, so the inversion
+    # sees the squeezed variance below its loss floor
+    netlist = tmp_path / "early_loss.nl"
+    netlist.write_text("modes: sig\nloss sig eta=0.3\nsqueezer sig r=1.2\n"
+                       "homodyne sig eta_pd=0.88 eta_e=0.95 ratio=0.5 sweep=0:6.283185307179586:16\n")
+    csv = tmp_path / "t.csv"
+    assert main(["simulate", str(netlist), "--noiseless",
+                 "--csv", str(csv), "--report", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "infeasible" in err
+    assert not csv.exists()
+
+
+def test_simulate_overflowing_report_exits_2(tmp_path, capsys):
+    # r=200 on a rotated axis: the trace reaches ~1700 dB and the report's
+    # purity product overflows a float
+    netlist = tmp_path / "huge.nl"
+    netlist.write_text("modes: sig\nsqueezer sig r=200 phase=0.3\n"
+                       "homodyne sig eta_pd=0.9 eta_e=0.9 ratio=0.5 sweep=0:3.14:8\n")
+    csv = tmp_path / "t.csv"
+    assert main(["simulate", str(netlist), "--noiseless",
+                 "--csv", str(csv), "--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv.exists()
+
+
+def test_simulate_rejects_non_finite_model_trace(chip_file, tmp_path, capsys, monkeypatch):
+    real_sweep = sqzsim.simulate.sweep
+
+    def sweep_with_nan(*args):
+        trace = real_sweep(*args)
+        db = trace.variance_db.copy()
+        db[3] = np.nan
+        return HomodyneTrace(trace.phases, db, trace.config, trace.noiseless)
+
+    monkeypatch.setattr(sqzsim.simulate, "sweep", sweep_with_nan)
+    csv = tmp_path / "t.csv"
+    assert main(["simulate", str(chip_file), "--noiseless",
+                 "--csv", str(csv), "--report", str(tmp_path / "r.json")]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 def test_analyze_reference_numbers(capsys):

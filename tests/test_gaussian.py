@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_gaussian_state
+from conftest import random_circuit_spec, random_gaussian_state
 from sqzsim import (
     GaussianChannel,
     GaussianState,
@@ -11,6 +13,8 @@ from sqzsim import (
     apply_loss,
     apply_phaseshift,
     apply_squeezer,
+    compile_spec,
+    output_state,
     quadrature_variance,
     reduce_modes,
     symplectic_form,
@@ -219,6 +223,20 @@ def test_uncertainty_relation_after_random_sequences():
         omega = omega_cache.setdefault(st.n_modes, symplectic_form(st.n_modes))
         eigs = np.linalg.eigvalsh(st.cov + 1j * omega)
         assert eigs.min() >= -1e-9
+
+
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_package_products_pass_the_public_checks(seed):
+    # channels and propagated states skip the eigenvalue checks; the public
+    # constructors must accept every one of them
+    rng = np.random.default_rng(seed)
+    state = random_gaussian_state(rng, max_ops=8)
+    GaussianState(state.mean, state.cov)
+    spec = random_circuit_spec(rng)
+    for channel in compile_spec(spec)[0]:
+        GaussianChannel(channel.X, channel.Y)
+    out = output_state(spec)
+    GaussianState(out.mean, out.cov)
 
 
 def test_quadrature_variance_pi_periodic():

@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from sqzsim import (
     vacuum,
     write_trace_csv,
 )
-from sqzsim.homodyne import with_seed
 
 IDEAL = HomodyneConfig(eta_pd=1.0, eta_e=1.0, coupler_ratio=0.5)
 REFERENCE_CHAIN = HomodyneConfig(eta_pd=0.88, eta_e=0.94752, coupler_ratio=0.5)
@@ -108,9 +108,9 @@ def test_trace_length_mismatch_rejected():
 
 def test_synthesize_is_deterministic_per_seed():
     trace = sweep(apply_squeezer(vacuum(1), 0, 0.4), 0, REFERENCE_CHAIN, (0.0, 2 * np.pi, 64))
-    a = synthesize_trace(trace, with_seed(REFERENCE_CHAIN, 123))
-    b = synthesize_trace(trace, with_seed(REFERENCE_CHAIN, 123))
-    c = synthesize_trace(trace, with_seed(REFERENCE_CHAIN, 124))
+    a = synthesize_trace(trace, replace(REFERENCE_CHAIN, seed=123))
+    b = synthesize_trace(trace, replace(REFERENCE_CHAIN, seed=123))
+    c = synthesize_trace(trace, replace(REFERENCE_CHAIN, seed=124))
     assert np.array_equal(a.variance_db, b.variance_db)
     assert not np.array_equal(a.variance_db, c.variance_db)
     assert not a.noiseless
@@ -126,7 +126,7 @@ def test_estimator_noise_statistics():
     # M = rbw/vbw = 100000/30, relative sigma sqrt(2/M) = 0.0244949
     n_points = 10000
     trace = sweep(vacuum(1), 0, REFERENCE_CHAIN, (0.0, 2 * np.pi, n_points))
-    noisy = synthesize_trace(trace, with_seed(REFERENCE_CHAIN, 7))
+    noisy = synthesize_trace(trace, replace(REFERENCE_CHAIN, seed=7))
     factors = 10 ** (noisy.variance_db / 10.0)  # model trace is exactly 1.0
     sigma_expected = math.sqrt(2.0 / (REFERENCE_CHAIN.rbw / REFERENCE_CHAIN.vbw))
     assert sigma_expected == pytest.approx(0.02449489742783178, rel=1e-12)

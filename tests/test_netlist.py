@@ -22,6 +22,7 @@ from sqzsim import (
     quadrature_variance,
     vacuum,
 )
+from sqzsim.netlist import MAX_SWEEP_POINTS
 
 MINIMAL = "modes: sig\nsqueezer sig r=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:3.14159:64"
 
@@ -68,6 +69,10 @@ def test_out_of_range_reported_before_mode_resolution():
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1\n", "bad-number", 2),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:x\n", "bad-number", 2),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:1\n", "out-of-range", 2),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1:1:8\n", "out-of-range", 2),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:1000000000\n", "out-of-range", 2),
+    pytest.param("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:" + "9" * 5000,
+                 "out-of-range", 2, id="sweep-count-of-5000-digits"),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 vbw=2e6\n", "out-of-range", 2),
     ("modes: sig lo\ncoupler sig sig ratio=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2),
     ("modes: sig\nsqueezer sig r=0.5\n", "missing-measurement", 3),
@@ -77,6 +82,18 @@ def test_error_kinds_and_positions(source, kind, line):
     e = err(source)
     assert e.kind == kind
     assert e.line == line
+
+
+@pytest.mark.parametrize("sweep", ["2.5:2.50:720", "0:1:100001"])
+def test_sweep_rejections_point_at_the_sweep_token(sweep):
+    line = f"homodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep={sweep}"
+    e = err("modes: sig\n" + line)
+    assert (e.kind, e.line, e.col) == ("out-of-range", 2, line.index("sweep=") + 1)
+
+
+def test_sweep_count_cap_is_inclusive():
+    spec = parse(f"modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:{MAX_SWEEP_POINTS}")
+    assert spec.measurement.sweep == (0.0, 1.0, MAX_SWEEP_POINTS)
 
 
 def test_duplicate_and_trailing_measurement():
