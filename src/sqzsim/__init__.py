@@ -48,6 +48,7 @@ from .gaussian import (
 from .homodyne import (
     HomodyneConfig,
     HomodyneTrace,
+    detection_factors,
     effective_efficiency,
     measure_variance,
     sweep,

@@ -9,7 +9,7 @@ single-pass r = gain*sqrt(P) law.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .conversions import from_db, to_db
 
@@ -31,24 +31,22 @@ class EfficiencyBudget:
     eta_prop: float = 1.0
 
     def __post_init__(self):
-        for name, value in self.factors(include_unit=True).items():
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise ValueError(f"{field.name} must lie in [0, 1], got {value}")
 
-    def factors(self, include_unit=False):
-        table = {
+    def factors(self):
+        """Name -> efficiency table: the four chain factors, then any optional one not 1."""
+        optional = {"coupler": self.eta_coupler, "visibility": self.eta_visibility,
+                    "propagation": self.eta_prop}
+        return {
             "fresnel": self.eta_fresnel,
             "filter": self.eta_filter,
             "photodiode": self.eta_pd,
             "electronics": self.eta_e,
-            "coupler": self.eta_coupler,
-            "visibility": self.eta_visibility,
-            "propagation": self.eta_prop,
+            **{name: value for name, value in optional.items() if value != 1.0},
         }
-        if include_unit:
-            return table
-        keep = {"fresnel", "filter", "photodiode", "electronics"}
-        return {k: v for k, v in table.items() if k in keep or v != 1.0}
 
     def total(self):
         return total_efficiency(self)
@@ -69,16 +67,16 @@ def electronic_efficiency(snr_db):
     return (snr - 1.0) / snr
 
 
-def total_efficiency(budget):
-    """Product of all budget factors.
+def total_efficiency(factors):
+    """Product of an efficiency table: an EfficiencyBudget or a name -> eta mapping.
 
     Factors are multiplied in sorted order so the result is exactly
-    invariant under any reordering of the inputs.
+    invariant under any reordering of the inputs; factors of exactly 1
+    sort last and leave it unchanged.
     """
-    result = 1.0
-    for value in sorted(budget.factors(include_unit=True).values()):
-        result *= value
-    return result
+    if isinstance(factors, EfficiencyBudget):
+        factors = factors.factors()
+    return math.prod(sorted(factors.values()))
 
 
 def forward_measured(v_gen_db, eta):
@@ -150,26 +148,20 @@ def _inferred_unc_db(v_meas_db, unc_db, eta):
     return 10.0 / math.log(10.0) * (d_meas / eta) / v_gen
 
 
-def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, budget=None, eta=None, factors=None):
-    """Assemble a SqueezingReport from raw dB values and an efficiency budget.
+def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
+    """Assemble a SqueezingReport from raw dB values and a name -> eta table.
 
-    Give either a full EfficiencyBudget or a bare total efficiency `eta`;
-    `factors` optionally overrides the reported per-factor table.
+    The report carries the table as its budget and inverts the loss model
+    with its total_efficiency, so eta_total is always the budget's product.
     """
-    if (budget is None) == (eta is None):
-        raise ValueError("give exactly one of budget or eta")
-    if budget is not None:
-        eta = budget.total()
-        table = budget.factors()
-    else:
-        table = {"total": eta}
-    if factors is not None:
-        table = dict(factors)
+    table = dict(factors)
+    eta = total_efficiency(table)
     inferred_sq = infer_generated(raw_sq_db, eta)
     inferred_asq = infer_generated(raw_asq_db, eta)
     for inferred, raw in ((inferred_sq, raw_sq_db), (inferred_asq, raw_asq_db)):
         if abs(forward_measured(inferred, eta) - raw) > 1e-9:
-            raise AssertionError("loss-model inversion failed to round-trip")
+            raise ValueError(f"loss-model inversion does not round-trip at {raw!r} dB "
+                             f"(beyond double precision)")
     purity = purity_product(inferred_sq, inferred_asq)
     return SqueezingReport(
         raw_sq_db=float(raw_sq_db),
@@ -187,18 +179,5 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, budget=None, eta=None, f
 
 
 def report_to_json(report):
-    """Serialise a report with fixed field names and full-precision numbers."""
-    payload = {
-        "raw_sq_db": report.raw_sq_db,
-        "raw_asq_db": report.raw_asq_db,
-        "unc_db": report.unc_db,
-        "eta_total": report.eta_total,
-        "inferred_sq_db": report.inferred_sq_db,
-        "inferred_asq_db": report.inferred_asq_db,
-        "inferred_sq_unc_db": report.inferred_sq_unc_db,
-        "inferred_asq_unc_db": report.inferred_asq_unc_db,
-        "purity_product": report.purity_product,
-        "purity_product_db": report.purity_product_db,
-        "budget": report.budget,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Serialise a report: its fields in declaration order, full-precision numbers."""
+    return json.dumps(asdict(report), indent=2) + "\n"

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from .budget import (
     EfficiencyBudget,
-    InfeasibleMeasurementError,
     build_report,
     electronic_efficiency,
     extrapolate_squeezing,
@@ -30,6 +29,13 @@ EXIT_IO = 3
 def _fail(message, code):
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _domain_failure(exc):
+    """Exit 2 for a ValueError or an OverflowError raised while simulating or analysing."""
+    if isinstance(exc, OverflowError):
+        exc = f"numeric overflow in the report: {exc}"
+    return _fail(exc, EXIT_DOMAIN)
 
 
 def _load_spec(path):
@@ -61,10 +67,8 @@ def cmd_simulate(args):
         return _fail("--seed is required unless --noiseless is given", EXIT_DOMAIN)
     try:
         trace, report = run_spec(spec, noiseless=args.noiseless, seed=args.seed)
-    except (InfeasibleMeasurementError, ValueError) as exc:
-        return _fail(exc, EXIT_DOMAIN)
-    except OverflowError as exc:
-        return _fail(f"numeric overflow in the report: {exc}", EXIT_DOMAIN)
+    except (ValueError, OverflowError) as exc:
+        return _domain_failure(exc)
     try:
         write_trace_csv(trace, args.csv)
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
@@ -77,12 +81,12 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _budget_from_args(args):
+def _factors_from_args(args):
     named = (args.eta_fresnel, args.eta_filter, args.eta_pd, args.eta_e)
     if args.eta is not None:
         if any(v is not None for v in named):
             raise ValueError("give either --eta or the per-factor budget flags, not both")
-        return None, args.eta
+        return {"total": args.eta}
     if any(v is None for v in named):
         raise ValueError("budget flags need --eta-fresnel, --eta-filter, --eta-pd and --eta-e")
     budget = EfficiencyBudget(
@@ -90,17 +94,14 @@ def _budget_from_args(args):
         eta_pd=args.eta_pd, eta_e=args.eta_e,
         eta_coupler=args.eta_coupler, eta_visibility=args.eta_visibility,
         eta_prop=args.eta_prop)
-    return budget, None
+    return budget.factors()
 
 
 def cmd_analyze(args):
     try:
-        budget, eta = _budget_from_args(args)
-        report = build_report(args.sq_db, args.asq_db, args.unc_db, budget=budget, eta=eta)
-    except InfeasibleMeasurementError as exc:
-        return _fail(f"infeasible: {exc}", EXIT_DOMAIN)
-    except ValueError as exc:
-        return _fail(exc, EXIT_DOMAIN)
+        report = build_report(args.sq_db, args.asq_db, args.unc_db, factors=_factors_from_args(args))
+    except (ValueError, OverflowError) as exc:
+        return _domain_failure(exc)
     sys.stdout.write(report_to_json(report))
     return EXIT_OK
 

@@ -8,6 +8,7 @@ finite RBW/VBW estimator scatter.
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,16 +19,14 @@ from .gaussian import apply_loss, quadrature_variance
 
 @dataclass(frozen=True)
 class HomodyneConfig:
-    """Detection-chain settings; frequencies in Hz, sweep time in seconds."""
+    """Detection-chain settings; bandwidths in Hz."""
 
     eta_pd: float
     eta_e: float
     coupler_ratio: float
     visibility: float = 1.0
-    center_freq: float = 2.0e6
     rbw: float = 1.0e5
     vbw: float = 30.0
-    sweep_time: float = 1.0
     seed: int | None = None
 
     def __post_init__(self):
@@ -37,10 +36,6 @@ class HomodyneConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if not self.vbw > 0.0 or self.rbw < self.vbw:
             raise ValueError("need rbw >= vbw > 0")
-        if not self.sweep_time > 0.0:
-            raise ValueError("sweep_time must be > 0")
-        if not self.center_freq > 0.0:
-            raise ValueError("center_freq must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +58,25 @@ class HomodyneTrace:
         object.__setattr__(self, "variance_db", variance_db)
 
 
+def detection_factors(config):
+    """Name -> efficiency table of the detection chain, in multiplication order.
+
+    The imbalance 4R(1-R) and mode-matching v^2 terms appear only when not 1.
+    """
+    table = {}
+    imbalance = 4.0 * config.coupler_ratio * (1.0 - config.coupler_ratio)
+    if imbalance != 1.0:
+        table["coupler_imbalance"] = imbalance
+    if config.visibility != 1.0:
+        table["visibility"] = config.visibility**2
+    table["photodiode"] = config.eta_pd
+    table["electronics"] = config.eta_e
+    return table
+
+
 def effective_efficiency(config):
     """Total homodyne efficiency 4R(1-R) * v^2 * eta_pd * eta_e."""
-    imbalance = 4.0 * config.coupler_ratio * (1.0 - config.coupler_ratio)
-    return imbalance * config.visibility**2 * config.eta_pd * config.eta_e
+    return math.prod(detection_factors(config).values())
 
 
 def measure_variance(state, mode, theta, config):

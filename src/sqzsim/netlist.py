@@ -2,8 +2,8 @@
 
 Grammar (one statement per line, `#` starts a comment, tokens are
 whitespace separated, parameters are `key=value`, optional ones shown in
-brackets with their defaults, which live in the `Squeezer` and
-`HomodyneConfig` field defaults):
+brackets with their defaults, which live in the `Squeezer`, `Homodyne`
+and `HomodyneConfig` field defaults):
 
     # sqzsim netlist v1
     modes: sig lo
@@ -21,8 +21,10 @@ phases from a (inclusive) to b (exclusive), with a != b and
 2 <= n <= MAX_SWEEP_POINTS (100000). A squeezer is given either an
 explicit `r` or a pump power with a single-pass gain (r = gain*sqrt(pump));
 `excess` multiplies the antisqueezed variance produced from vacuum, with
-1.0 the pure minimum-uncertainty squeezer. Exactly one homodyne statement
-is required and nothing may follow it.
+1.0 the pure minimum-uncertainty squeezer. `center_freq` (Hz) and
+`sweep_time` (s) are analyser metadata: they must be > 0 and round-trip
+through `pretty_print`, but no computation reads them. Exactly one
+homodyne statement is required and nothing may follow it.
 
 Errors carry a position and one of six kinds: unknown-keyword,
 undeclared-mode, bad-number, out-of-range, duplicate-measurement,
@@ -109,8 +111,13 @@ class Homodyne:
     visibility: float = HomodyneConfig.visibility
     rbw: float = HomodyneConfig.rbw
     vbw: float = HomodyneConfig.vbw
-    center_freq: float = HomodyneConfig.center_freq
-    sweep_time: float = HomodyneConfig.sweep_time
+    center_freq: float = 2.0e6
+    sweep_time: float = 1.0
+
+    def config(self):
+        """The detection settings the simulation reads; the metadata stays here."""
+        return HomodyneConfig(eta_pd=self.eta_pd, eta_e=self.eta_e, coupler_ratio=self.ratio,
+                              visibility=self.visibility, rbw=self.rbw, vbw=self.vbw)
 
 
 @dataclass(frozen=True)
@@ -383,7 +390,4 @@ def compile_spec(spec):
         else:
             raise TypeError(f"unknown statement type {type(st).__name__}")
     m = spec.measurement
-    config = HomodyneConfig(eta_pd=m.eta_pd, eta_e=m.eta_e, coupler_ratio=m.ratio,
-                            visibility=m.visibility, center_freq=m.center_freq,
-                            rbw=m.rbw, vbw=m.vbw, sweep_time=m.sweep_time)
-    return channels, MeasurementPlan(mode=index[m.mode], phases=phase_grid(*m.sweep), config=config)
+    return channels, MeasurementPlan(mode=index[m.mode], phases=phase_grid(*m.sweep), config=m.config())

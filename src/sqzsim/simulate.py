@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from .budget import build_report
 from .gaussian import vacuum
-from .homodyne import effective_efficiency, sweep, synthesize_trace
+from .homodyne import detection_factors, sweep, synthesize_trace
 from .netlist import Loss, compile_spec
 
 
@@ -28,33 +28,23 @@ def output_state(spec):
     return _propagate(spec)[0]
 
 
-def _measured_losses(spec):
-    measured = spec.measurement.mode
-    return [st for st in spec.statements if isinstance(st, Loss) and st.mode == measured]
-
-
 def budget_factors(spec):
-    """Per-factor efficiency table for a spec's measured mode.
+    """Efficiency table of a spec's measured mode, the one its report inverts with.
 
-    Labelled losses report under their labels (unlabelled ones as
-    `anonymous`, suffixed when repeated); the homodyne chain contributes
-    photodiode, electronics and any non-unit imbalance or visibility terms.
+    The measured mode's losses in statement order (under their labels,
+    `anonymous` when unlabelled), then the `detection_factors` of its
+    homodyne. A name already in the table gets `_2`, `_3`, ... appended,
+    so every factor keeps its own entry.
     """
+    m = spec.measurement
+    entries = [(st.label if st.label is not None else "anonymous", st.eta)
+               for st in spec.statements if isinstance(st, Loss) and st.mode == m.mode]
     table = {}
-    for st in _measured_losses(spec):
-        base = st.label if st.label is not None else "anonymous"
+    for base, eta in [*entries, *detection_factors(m.config()).items()]:
         name, k = base, 2
         while name in table:
             name, k = f"{base}_{k}", k + 1
-        table[name] = st.eta
-    m = spec.measurement
-    imbalance = 4.0 * m.ratio * (1.0 - m.ratio)
-    if imbalance != 1.0:
-        table["coupler_imbalance"] = imbalance
-    if m.visibility != 1.0:
-        table["visibility"] = m.visibility**2
-    table["photodiode"] = m.eta_pd
-    table["electronics"] = m.eta_e
+        table[name] = eta
     return table
 
 
@@ -78,8 +68,5 @@ def run_spec(spec, noiseless=True, seed=None):
         trace = synthesize_trace(model, replace(plan.config, seed=seed))
         m_samples = plan.config.rbw / plan.config.vbw
         unc_db = math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
-
-    losses = [st.eta for st in _measured_losses(spec)]
-    eta_total = math.prod([effective_efficiency(plan.config), *losses])
-    report = build_report(raw_sq_db, raw_asq_db, unc_db, eta=eta_total, factors=budget_factors(spec))
+    report = build_report(raw_sq_db, raw_asq_db, unc_db, factors=budget_factors(spec))
     return trace, report

@@ -166,7 +166,7 @@ def test_extrapolate_monotone_and_floored():
 
 
 def test_build_report_reference_inputs():
-    report = build_report(-2.0, 2.8, 0.05, eta=0.71)
+    report = build_report(-2.0, 2.8, 0.05, factors={"total": 0.71})
     assert report.inferred_sq_db == pytest.approx(-3.185582988046317, abs=1e-9)
     assert report.inferred_asq_db == pytest.approx(3.5703805332557135, abs=1e-9)
     assert report.purity_product == pytest.approx(1.0926466901583323, abs=1e-9)
@@ -179,16 +179,17 @@ def test_build_report_reference_inputs():
 
 
 def test_build_report_with_budget_and_unity_eta():
-    report = build_report(-2.0, 2.8, 0.05, budget=REFERENCE_BUDGET)
-    assert report.eta_total == pytest.approx(0.7117704, rel=1e-12)
+    report = build_report(-2.0, 2.8, 0.05, factors=REFERENCE_BUDGET.factors())
+    assert report.eta_total == total_efficiency(REFERENCE_BUDGET)
+    assert report.eta_total == total_efficiency(report.budget)
     assert report.budget["fresnel"] == 0.86
-    echoed = build_report(-2.0, 2.8, 0.05, eta=1.0)
+    echoed = build_report(-2.0, 2.8, 0.05, factors={"total": 1.0})
     assert echoed.inferred_sq_db == pytest.approx(-2.0, abs=1e-12)
     assert echoed.inferred_asq_db == pytest.approx(2.8, abs=1e-12)
-    with pytest.raises(ValueError):
-        build_report(-2.0, 2.8, 0.05)
-    with pytest.raises(ValueError):
-        build_report(-2.0, 2.8, 0.05, budget=REFERENCE_BUDGET, eta=0.71)
+    with pytest.raises(TypeError):
+        build_report(-2.0, 2.8, 0.05)  # the factor table is required
+    with pytest.raises(ValueError, match="round-trip"):
+        build_report(3100.0, 3100.0, factors={"total": 0.7})
 
 
 def test_avoidable_loss_projection():
@@ -200,12 +201,14 @@ def test_avoidable_loss_projection():
 
 
 def test_report_json_contract():
-    report = build_report(-2.0, 2.8, 0.05, budget=REFERENCE_BUDGET)
+    report = build_report(-2.0, 2.8, 0.05, factors=REFERENCE_BUDGET.factors())
     text = report_to_json(report)
     payload = json.loads(text)
-    for key in ("raw_sq_db", "raw_asq_db", "eta_total", "inferred_sq_db",
-                "inferred_asq_db", "purity_product", "budget"):
-        assert key in payload
+    assert list(payload) == [
+        "raw_sq_db", "raw_asq_db", "unc_db", "eta_total", "inferred_sq_db",
+        "inferred_asq_db", "inferred_sq_unc_db", "inferred_asq_unc_db",
+        "purity_product", "purity_product_db", "budget",
+    ]
     assert payload["budget"] == {"fresnel": 0.86, "filter": 0.99,
                                  "photodiode": 0.88, "electronics": 0.95}
     # full float precision survives the round trip

@@ -187,6 +187,17 @@ def test_analyze_infeasible_input(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sq_db,asq_db", [
+    ("1700", "1800"),  # the purity product overflows a float
+    ("3100", "3100"),  # the linear variance overflows and cannot round-trip
+])
+def test_analyze_out_of_range_values_exit_2(sq_db, asq_db, capsys):
+    assert main(["analyze", "--sq-db", sq_db, "--asq-db", asq_db, "--eta", "0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_rejects_mixed_budget_flags(capsys):
     assert main(["analyze", "--sq-db", "-2", "--asq-db", "2.8",
                  "--eta", "0.71", "--eta-fresnel", "0.86"]) == 2

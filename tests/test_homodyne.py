@@ -47,8 +47,6 @@ def test_config_validation():
         HomodyneConfig(eta_pd=1.2, eta_e=1.0, coupler_ratio=0.5)
     with pytest.raises(ValueError):
         HomodyneConfig(eta_pd=1.0, eta_e=1.0, coupler_ratio=0.5, rbw=10.0, vbw=30.0)
-    with pytest.raises(ValueError):
-        HomodyneConfig(eta_pd=1.0, eta_e=1.0, coupler_ratio=0.5, sweep_time=0.0)
 
 
 def test_vacuum_measures_at_shot_noise():

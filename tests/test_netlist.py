@@ -74,6 +74,8 @@ def test_out_of_range_reported_before_mode_resolution():
     pytest.param("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:" + "9" * 5000,
                  "out-of-range", 2, id="sweep-count-of-5000-digits"),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 vbw=2e6\n", "out-of-range", 2),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 center_freq=0\n", "out-of-range", 2),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 sweep_time=-1\n", "out-of-range", 2),
     ("modes: sig lo\ncoupler sig sig ratio=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2),
     ("modes: sig\nsqueezer sig r=0.5\n", "missing-measurement", 3),
     ("", "missing-measurement", 1),
@@ -89,6 +91,13 @@ def test_sweep_rejections_point_at_the_sweep_token(sweep):
     line = f"homodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep={sweep}"
     e = err("modes: sig\n" + line)
     assert (e.kind, e.line, e.col) == ("out-of-range", 2, line.index("sweep=") + 1)
+
+
+@pytest.mark.parametrize("token", ["center_freq=0", "sweep_time=-1"])
+def test_metadata_rejections_point_at_the_key(token):
+    line = f"homodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 {token}"
+    e = err("modes: sig\n" + line)
+    assert (e.kind, e.line, e.col) == ("out-of-range", 2, line.index(token) + 1)
 
 
 def test_sweep_count_cap_is_inclusive():
