@@ -51,6 +51,7 @@ from .homodyne import (
     detection_factors,
     effective_efficiency,
     measure_variance,
+    phase_grid,
     sweep,
     synthesize_trace,
     write_trace_csv,

@@ -48,9 +48,6 @@ class EfficiencyBudget:
             **{name: value for name, value in optional.items() if value != 1.0},
         }
 
-    def total(self):
-        return total_efficiency(self)
-
 
 def fresnel_efficiency(n1, n2):
     """Facet transmission 1 - ((n1 - n2)/(n1 + n2))^2 at an index step."""
@@ -153,7 +150,13 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
 
     The report carries the table as its budget and inverts the loss model
     with its total_efficiency, so eta_total is always the budget's product.
+    Raw dB values must be finite and unc_db finite and >= 0.
     """
+    for name, value in (("raw_sq_db", raw_sq_db), ("raw_asq_db", raw_asq_db)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {value!r} is not finite")
+    if not 0.0 <= unc_db < math.inf:
+        raise ValueError(f"unc_db must be finite and >= 0, got {unc_db!r}")
     table = dict(factors)
     eta = total_efficiency(table)
     inferred_sq = infer_generated(raw_sq_db, eta)

@@ -39,8 +39,7 @@ def _domain_failure(exc):
 
 
 def _load_spec(path):
-    data = Path(path).read_bytes()
-    return parse(data.decode("utf-8", errors="replace"))
+    return parse(Path(path).read_bytes())
 
 
 def cmd_validate(args):

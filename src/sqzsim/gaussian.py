@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conversions import _as_scalar_or_array
+
 SYMMETRY_RTOL = 1e-12    # relative symmetry tolerance for covariance input
 UNCERTAINTY_TOL = -1e-9  # lower bound for eigenvalues of cov + i*Omega
 CP_TOL = -1e-9           # lower bound for the channel complete-positivity check
@@ -198,11 +200,16 @@ def apply_loss(state, mode, eta):
 
 
 def quadrature_variance(state, mode, theta):
-    """Variance of the quadrature x*cos(theta) + p*sin(theta) on one mode."""
+    """Variance of the quadrature x*cos(theta) + p*sin(theta) on one mode.
+
+    Reads the mode's 2x2 covariance block [[a, b], [b, d]] as
+    a*c^2 + 2b*c*s + d*s^2 with c, s = cos(theta), sin(theta). A scalar
+    theta gives a float, an array of phases an array.
+    """
     _check_mode(state, mode)
-    u = np.array([np.cos(theta), np.sin(theta)])
-    sl = slice(2 * mode, 2 * mode + 2)
-    return float(u @ state.cov[sl, sl] @ u)
+    (a, b), (_, d) = state.cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2]
+    c, s = np.cos(theta), np.sin(theta)
+    return _as_scalar_or_array(a * c * c + 2.0 * b * c * s + d * s * s)
 
 
 def tensor(state_a, state_b):
@@ -223,11 +230,6 @@ def reduce_modes(state, modes):
         _check_mode(state, m)
     idx = np.array([i for m in modes for i in (2 * m, 2 * m + 1)])
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
-
-
-def symplectic_channel(S):
-    """Lossless channel from a symplectic matrix."""
-    return GaussianChannel(S, np.zeros_like(S))
 
 
 def squeezer_channel(n_modes, mode, r, phase=0.0, excess=1.0):

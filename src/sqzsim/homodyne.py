@@ -1,10 +1,10 @@
 """Balanced homodyne detection of one mode of a Gaussian state.
 
 The detection chain (coupler imbalance, photodiodes, electronics, mode
-matching) collapses to a single effective efficiency applied as a loss in
-front of an ideal quadrature measurement. Spectrum-analyser traces are
-noiseless variance-vs-phase sweeps in dB, optionally dressed with the
-finite RBW/VBW estimator scatter.
+matching) collapses to a single effective efficiency eta, so the detector
+reads eta * V(theta) + (1 - eta) off the measured mode's 2x2 covariance
+block. Spectrum-analyser traces are noiseless variance-vs-phase sweeps in
+dB, optionally dressed with the finite RBW/VBW estimator scatter.
 """
 
 import io
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conversions import from_db, to_db
-from .gaussian import apply_loss, quadrature_variance
+from .gaussian import quadrature_variance
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,14 @@ class HomodyneConfig:
     visibility: float = 1.0
     rbw: float = 1.0e5
     vbw: float = 30.0
-    seed: int | None = None
 
     def __post_init__(self):
         for name in ("eta_pd", "eta_e", "coupler_ratio", "visibility"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if not self.vbw > 0.0 or self.rbw < self.vbw:
-            raise ValueError("need rbw >= vbw > 0")
+        if not 0.0 < self.vbw <= self.rbw or not math.isfinite(self.rbw / self.vbw):
+            raise ValueError("need rbw >= vbw > 0 with a finite rbw/vbw")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +44,6 @@ class HomodyneTrace:
     phases: np.ndarray
     variance_db: np.ndarray
     config: HomodyneConfig
-    noiseless: bool
 
     def __post_init__(self):
         phases = np.array(self.phases, dtype=float)
@@ -80,9 +78,12 @@ def effective_efficiency(config):
 
 
 def measure_variance(state, mode, theta, config):
-    """Measured quadrature variance: eta_hd * V(theta) + (1 - eta_hd)."""
+    """Measured quadrature variance eta * V(theta) + (1 - eta), eta = effective_efficiency.
+
+    `theta` is a scalar (gives a float) or an array of LO phases.
+    """
     eta = effective_efficiency(config)
-    return quadrature_variance(apply_loss(state, mode, eta), mode, theta)
+    return eta * quadrature_variance(state, mode, theta) + (1.0 - eta)
 
 
 def phase_grid(a, b, n):
@@ -90,44 +91,28 @@ def phase_grid(a, b, n):
     return a + (b - a) / n * np.arange(n)
 
 
-def _resolve_phases(phase_spec):
-    if isinstance(phase_spec, tuple) and len(phase_spec) == 3:
-        a, b, n = phase_spec
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise ValueError("sweep needs at least 2 points")
-        return phase_grid(a, b, n)
-    phases = np.asarray(phase_spec, dtype=float)
+def sweep(state, mode, config, phases):
+    """Noiseless variance-vs-phase trace in dB over a 1-D array of at least 2 LO phases."""
+    phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 2:
         raise ValueError("sweep needs at least 2 points")
-    return phases
+    return HomodyneTrace(phases, to_db(measure_variance(state, mode, phases, config)), config)
 
 
-def sweep(state, mode, config, phase_spec):
-    """Noiseless variance-vs-phase trace in dB over `phase_spec` = (a, b, n) or an array."""
-    phases = _resolve_phases(phase_spec)
-    detected = apply_loss(state, mode, effective_efficiency(config))
-    db = np.array([to_db(quadrature_variance(detected, mode, theta)) for theta in phases])
-    return HomodyneTrace(phases=phases, variance_db=db, config=config, noiseless=True)
-
-
-def synthesize_trace(trace, config=None):
+def synthesize_trace(trace, seed):
     """Dress a noiseless trace with spectrum-analyser estimator scatter.
 
-    Each point's linear variance is multiplied by an independent factor of
-    mean 1 and relative standard deviation sqrt(2/M), M = rbw/vbw, drawn
-    from the seeded generator in `config` (defaults to the trace's own).
+    Each point's linear variance is multiplied by an independent
+    Gamma(M/2, scale 2/M) factor, M = rbw/vbw of the trace's config: the
+    mean of M chi-squared(1) power samples, so always positive, of mean 1
+    and variance 2/M. `seed` seeds the generator and is required.
     """
-    config = trace.config if config is None else config
-    if config.seed is None:
+    if seed is None:
         raise ValueError("a seed is required to synthesize estimator noise")
-    m_samples = config.rbw / config.vbw
-    sigma = np.sqrt(2.0 / m_samples)
-    rng = np.random.default_rng(config.seed)
-    factors = 1.0 + sigma * rng.standard_normal(trace.variance_db.size)
-    linear = from_db(trace.variance_db) * factors
-    linear = np.maximum(linear, 1e-300)  # keeps the dB conversion finite at absurd M
-    return HomodyneTrace(phases=trace.phases, variance_db=to_db(linear),
-                         config=config, noiseless=False)
+    m_samples = trace.config.rbw / trace.config.vbw
+    factors = np.random.default_rng(seed).gamma(m_samples / 2.0, 2.0 / m_samples,
+                                                trace.variance_db.size)
+    return HomodyneTrace(trace.phases, to_db(from_db(trace.variance_db) * factors), trace.config)
 
 
 def write_trace_csv(trace, target):

@@ -314,6 +314,9 @@ def parse(source):
             if measurement.vbw > measurement.rbw:
                 _err("out-of-range", line_no, cols.get("vbw", cols.get("rbw", head_col)),
                      f"vbw={measurement.vbw} exceeds rbw={measurement.rbw}")
+            if not math.isfinite(measurement.rbw / measurement.vbw):
+                _err("out-of-range", line_no, cols.get("vbw", cols.get("rbw", head_col)),
+                     f"rbw/vbw overflows: rbw={measurement.rbw}, vbw={measurement.vbw}")
             _check_declared(modes, declared, line_no)
             measurement_line = line_no
             continue

@@ -6,7 +6,6 @@ scatter sqrt(2/M) * 10/ln(10) dB per point.
 """
 
 import math
-from dataclasses import replace
 
 from .budget import build_report
 from .gaussian import vacuum
@@ -52,21 +51,18 @@ def run_spec(spec, noiseless=True, seed=None):
     """Simulate a parsed netlist; returns (trace, report).
 
     The returned trace is noisy when `noiseless` is false, in which case a
-    seed is required for reproducibility.
+    seed is required for reproducibility. A model trace that is not finite
+    (squeezing beyond double precision) is rejected by `build_report`.
     """
     state, plan = _propagate(spec)
     model = sweep(state, plan.mode, plan.config, plan.phases)
-    raw_sq_db, raw_asq_db = float(model.variance_db.min()), float(model.variance_db.max())
-    if not (math.isfinite(raw_sq_db) and math.isfinite(raw_asq_db)):
-        # states are not re-checked after each channel, so rounding loss at
-        # squeezing beyond double precision surfaces here, at the output
-        raise ValueError("model trace is not finite: squeezing beyond double precision")
     if noiseless:
         trace = model
         unc_db = 0.0
     else:
-        trace = synthesize_trace(model, replace(plan.config, seed=seed))
+        trace = synthesize_trace(model, seed)
         m_samples = plan.config.rbw / plan.config.vbw
         unc_db = math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
-    report = build_report(raw_sq_db, raw_asq_db, unc_db, factors=budget_factors(spec))
+    report = build_report(float(model.variance_db.min()), float(model.variance_db.max()),
+                          unc_db, factors=budget_factors(spec))
     return trace, report

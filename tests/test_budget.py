@@ -68,7 +68,7 @@ def test_budget_validation_and_optional_factors():
         "fresnel": 0.86, "filter": 0.99, "photodiode": 0.88,
         "electronics": 0.95, "propagation": 0.98,
     }
-    assert budget.total() == pytest.approx(0.7117704 * 0.98, rel=1e-12)
+    assert total_efficiency(budget) == pytest.approx(0.7117704 * 0.98, rel=1e-12)
 
 
 def test_infer_generated_reference_points():
@@ -196,7 +196,7 @@ def test_avoidable_loss_projection():
     # facet coated (eta -> 1), better detectors (pd*e -> 0.99), same filter
     inferred_sq = infer_generated(-2.0, 0.71)
     improved = EfficiencyBudget(eta_fresnel=1.0, eta_filter=0.99, eta_pd=0.99, eta_e=1.0)
-    projected = forward_measured(inferred_sq, improved.total())
+    projected = forward_measured(inferred_sq, total_efficiency(improved))
     assert projected == pytest.approx(-3.0930326161977026, abs=1e-6)
 
 

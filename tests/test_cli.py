@@ -148,7 +148,7 @@ def test_simulate_rejects_non_finite_model_trace(chip_file, tmp_path, capsys, mo
         trace = real_sweep(*args)
         db = trace.variance_db.copy()
         db[3] = np.nan
-        return HomodyneTrace(trace.phases, db, trace.config, trace.noiseless)
+        return HomodyneTrace(trace.phases, db, trace.config)
 
     monkeypatch.setattr(sqzsim.simulate, "sweep", sweep_with_nan)
     csv = tmp_path / "t.csv"
@@ -187,12 +187,17 @@ def test_analyze_infeasible_input(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sq_db,asq_db", [
-    ("1700", "1800"),  # the purity product overflows a float
-    ("3100", "3100"),  # the linear variance overflows and cannot round-trip
+@pytest.mark.parametrize("sq_db,asq_db,unc_db", [
+    ("1700", "1800", "0.05"),  # the purity product overflows a float
+    ("3100", "3100", "0.05"),  # the linear variance overflows and cannot round-trip
+    ("nan", "2.8", "0.05"),    # non-finite inputs would print as invalid JSON
+    ("-2", "inf", "0.05"),
+    ("-2", "2.8", "nan"),
+    ("-2", "2.8", "-1"),
 ])
-def test_analyze_out_of_range_values_exit_2(sq_db, asq_db, capsys):
-    assert main(["analyze", "--sq-db", sq_db, "--asq-db", asq_db, "--eta", "0.7"]) == 2
+def test_analyze_out_of_range_values_exit_2(sq_db, asq_db, unc_db, capsys):
+    assert main(["analyze", "--sq-db", sq_db, "--asq-db", asq_db, "--unc-db", unc_db,
+                 "--eta", "0.7"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""

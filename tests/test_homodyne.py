@@ -2,10 +2,11 @@
 
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_gaussian_state
 from sqzsim import (
@@ -16,6 +17,7 @@ from sqzsim import (
     apply_squeezer,
     effective_efficiency,
     measure_variance,
+    phase_grid,
     purity_product,
     sweep,
     synthesize_trace,
@@ -68,14 +70,13 @@ def test_full_chain_reproduces_measured_values():
 
 
 def test_sweep_flat_for_vacuum():
-    trace = sweep(vacuum(1), 0, REFERENCE_CHAIN, (0.0, 2 * np.pi, 32))
-    assert trace.noiseless
+    trace = sweep(vacuum(1), 0, REFERENCE_CHAIN, phase_grid(0.0, 2 * np.pi, 32))
     assert np.allclose(trace.variance_db, 0.0, atol=1e-12)
 
 
 def test_sweep_closed_form_extrema():
     state = apply_squeezer(vacuum(1), 0, 0.5)
-    trace = sweep(state, 0, IDEAL, (0.0, 2 * np.pi, 720))
+    trace = sweep(state, 0, IDEAL, phase_grid(0.0, 2 * np.pi, 720))
     assert trace.variance_db.min() == pytest.approx(-4.342944819032518, abs=1e-9)
     assert trace.variance_db.max() == pytest.approx(4.342944819032518, abs=1e-9)
 
@@ -88,43 +89,43 @@ def test_sweep_accepts_explicit_phase_array():
 
 def test_sweep_needs_two_points():
     with pytest.raises(ValueError):
-        sweep(vacuum(1), 0, IDEAL, (0.0, 1.0, 1))
+        sweep(vacuum(1), 0, IDEAL, phase_grid(0.0, 1.0, 1))
 
 
 def test_noiseless_trace_pi_periodic():
     state = apply_squeezer(vacuum(1), 0, 0.7, phase=0.4)
-    trace = sweep(state, 0, REFERENCE_CHAIN, (0.0, 2 * np.pi, 16))
+    trace = sweep(state, 0, REFERENCE_CHAIN, phase_grid(0.0, 2 * np.pi, 16))
     half = 8
     assert np.abs(trace.variance_db[:half] - trace.variance_db[half:]).max() < 1e-12
 
 
 def test_trace_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        HomodyneTrace(phases=np.zeros(3), variance_db=np.zeros(2),
-                      config=IDEAL, noiseless=True)
+        HomodyneTrace(phases=np.zeros(3), variance_db=np.zeros(2), config=IDEAL)
 
 
 def test_synthesize_is_deterministic_per_seed():
-    trace = sweep(apply_squeezer(vacuum(1), 0, 0.4), 0, REFERENCE_CHAIN, (0.0, 2 * np.pi, 64))
-    a = synthesize_trace(trace, replace(REFERENCE_CHAIN, seed=123))
-    b = synthesize_trace(trace, replace(REFERENCE_CHAIN, seed=123))
-    c = synthesize_trace(trace, replace(REFERENCE_CHAIN, seed=124))
+    trace = sweep(apply_squeezer(vacuum(1), 0, 0.4), 0, REFERENCE_CHAIN,
+                  phase_grid(0.0, 2 * np.pi, 64))
+    a = synthesize_trace(trace, 123)
+    b = synthesize_trace(trace, 123)
+    c = synthesize_trace(trace, 124)
     assert np.array_equal(a.variance_db, b.variance_db)
     assert not np.array_equal(a.variance_db, c.variance_db)
-    assert not a.noiseless
+    assert a.config is trace.config
 
 
 def test_synthesize_requires_seed():
-    trace = sweep(vacuum(1), 0, REFERENCE_CHAIN, (0.0, 1.0, 4))
+    trace = sweep(vacuum(1), 0, REFERENCE_CHAIN, phase_grid(0.0, 1.0, 4))
     with pytest.raises(ValueError):
-        synthesize_trace(trace)
+        synthesize_trace(trace, seed=None)
 
 
 def test_estimator_noise_statistics():
     # M = rbw/vbw = 100000/30, relative sigma sqrt(2/M) = 0.0244949
     n_points = 10000
-    trace = sweep(vacuum(1), 0, REFERENCE_CHAIN, (0.0, 2 * np.pi, n_points))
-    noisy = synthesize_trace(trace, replace(REFERENCE_CHAIN, seed=7))
+    trace = sweep(vacuum(1), 0, REFERENCE_CHAIN, phase_grid(0.0, 2 * np.pi, n_points))
+    noisy = synthesize_trace(trace, 7)
     factors = 10 ** (noisy.variance_db / 10.0)  # model trace is exactly 1.0
     sigma_expected = math.sqrt(2.0 / (REFERENCE_CHAIN.rbw / REFERENCE_CHAIN.vbw))
     assert sigma_expected == pytest.approx(0.02449489742783178, rel=1e-12)
@@ -133,13 +134,15 @@ def test_estimator_noise_statistics():
 
 
 def test_estimator_noise_vbw_equals_rbw_edge():
-    # M = 1 drives the formula to sigma_rel = sqrt(2); synthesis must stay finite
-    config = HomodyneConfig(eta_pd=1.0, eta_e=1.0, coupler_ratio=0.5,
-                            rbw=100.0, vbw=100.0, seed=3)
-    assert math.sqrt(2.0 / (config.rbw / config.vbw)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    trace = sweep(vacuum(1), 0, config, (0.0, 2 * np.pi, 2000))
-    noisy = synthesize_trace(trace, config)
+    # M = 1 drives the relative sigma to sqrt(2); the factors must stay positive
+    config = HomodyneConfig(eta_pd=1.0, eta_e=1.0, coupler_ratio=0.5, rbw=100.0, vbw=100.0)
+    trace = sweep(vacuum(1), 0, config, phase_grid(0.0, 2 * np.pi, 20000))
+    noisy = synthesize_trace(trace, 3)
     assert np.isfinite(noisy.variance_db).all()
+    assert noisy.variance_db.min() > -300.0
+    factors = 10 ** (noisy.variance_db / 10.0)  # model trace is exactly 1.0
+    assert abs(factors.mean() - 1.0) < 0.03
+    assert abs(factors.std() - math.sqrt(2.0)) < 0.05 * math.sqrt(2.0)
 
 
 def test_degradation_is_monotone_in_each_factor():
@@ -175,19 +178,38 @@ def test_measured_variance_never_below_loss_floor():
         assert measure_variance(state, mode, theta, config) >= floor - 1e-12
 
 
+@given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(min_value=8, max_value=720))
+def test_sampled_extrema_lie_within_the_grid_bound_of_the_eigenvalues(seed, n):
+    # V(theta) = mean + (spread/2) cos(2(theta - theta0)): a grid of spacing 2pi/n
+    # samples each extremum within pi/n, i.e. within spread * sin^2(pi/n)
+    rng = np.random.default_rng(seed)
+    state = random_gaussian_state(rng, max_ops=8)
+    mode = int(rng.integers(0, state.n_modes))
+    config = HomodyneConfig(eta_pd=float(rng.uniform(0.3, 1.0)), eta_e=float(rng.uniform(0.3, 1.0)),
+                            coupler_ratio=float(rng.uniform(0.1, 0.9)),
+                            visibility=float(rng.uniform(0.8, 1.0)))
+    eta = effective_efficiency(config)
+    lam = np.linalg.eigvalsh(state.cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2])
+    lo, hi = eta * lam + (1.0 - eta)
+    bound = (lam[1] - lam[0]) * math.sin(math.pi / n) ** 2
+    tol = 1e-12 * hi
+    measured = measure_variance(state, mode, phase_grid(0.0, 2 * np.pi, n), config)
+    assert lo - tol <= measured.min() <= lo + bound + tol
+    assert hi - bound - tol <= measured.max() <= hi + tol
+
+
 def test_extrema_product_matches_purity_product():
     state = reference_chip_state()
     state = apply_loss(apply_loss(state, 0, 0.85777), 0, 0.99)
-    trace = sweep(state, 0, REFERENCE_CHAIN, (0.0, 2 * np.pi, 720))
+    trace = sweep(state, 0, REFERENCE_CHAIN, phase_grid(0.0, 2 * np.pi, 720))
     lo, hi = float(trace.variance_db.min()), float(trace.variance_db.max())
     linear_product = 10 ** (lo / 10.0) * 10 ** (hi / 10.0)
     assert abs(linear_product - purity_product(lo, hi)) < 1e-10
 
 
 def test_csv_export_format():
-    trace = HomodyneTrace(phases=np.array([0.0, 0.5]),
-                          variance_db=np.array([0.0, -2.125]),
-                          config=IDEAL, noiseless=True)
+    trace = HomodyneTrace(phases=np.array([0.0, 0.5]), variance_db=np.array([0.0, -2.125]),
+                          config=IDEAL)
     buffer = io.StringIO()
     text = write_trace_csv(trace, buffer)
     assert buffer.getvalue() == text

@@ -74,6 +74,8 @@ def test_out_of_range_reported_before_mode_resolution():
     pytest.param("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:" + "9" * 5000,
                  "out-of-range", 2, id="sweep-count-of-5000-digits"),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 vbw=2e6\n", "out-of-range", 2),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 rbw=1e300 vbw=1e-300\n",
+     "out-of-range", 2),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 center_freq=0\n", "out-of-range", 2),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 sweep_time=-1\n", "out-of-range", 2),
     ("modes: sig lo\ncoupler sig sig ratio=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2),

@@ -19,7 +19,7 @@ from sqzsim import (
 
 
 def test_paper_chip_run_applies_each_channel_once(monkeypatch):
-    # three statements plus one detection loss; the only eigenvalue check is
+    # one per statement, none for detection; the only eigenvalue check is
     # the vacuum built by the public constructor
     calls = {"apply": 0, "eigvalsh": 0}
     apply, eigvalsh = GaussianChannel.apply, np.linalg.eigvalsh
@@ -33,7 +33,7 @@ def test_paper_chip_run_applies_each_channel_once(monkeypatch):
     monkeypatch.setattr(GaussianChannel, "apply", counted("apply", apply))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
     run_spec(parse(data_path("paper_chip.nl").read_text()))
-    assert calls == {"apply": 4, "eigvalsh": 1}
+    assert calls == {"apply": 3, "eigvalsh": 1}
 
 
 def test_eta_total_counts_every_measured_loss_whatever_its_label():
