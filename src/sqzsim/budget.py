@@ -101,8 +101,15 @@ def infer_generated(v_meas_db, eta):
 
 
 def purity_product(sq_db, asq_db):
-    """Product of the two linear variances; exactly 1 for a minimum-uncertainty pair."""
-    return 10.0 ** ((sq_db + asq_db) / 10.0)
+    """Product of the two linear variances; exactly 1 for a minimum-uncertainty pair.
+
+    Raises OverflowError, naming both inputs, when the product is not a finite double.
+    """
+    try:
+        return math.pow(10.0, (sq_db + asq_db) / 10.0)
+    except OverflowError:
+        raise OverflowError(f"purity product of inferred sq/asq {sq_db!r}/{asq_db!r} dB "
+                            f"overflows a double") from None
 
 
 def pump_to_r(pump_mw, gain):
@@ -150,11 +157,17 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
 
     The report carries the table as its budget and inverts the loss model
     with its total_efficiency, so eta_total is always the budget's product.
-    Raw dB values must be finite and unc_db finite and >= 0.
+    Raw dB values must be finite with a linear variance that is a finite
+    double, and unc_db finite and >= 0.
     """
     for name, value in (("raw_sq_db", raw_sq_db), ("raw_asq_db", raw_asq_db)):
         if not math.isfinite(value):
             raise ValueError(f"{name} {value!r} is not finite")
+        try:
+            math.pow(10.0, value / 10.0)
+        except OverflowError:
+            raise ValueError(f"{name} {value!r} dB has no finite linear variance, "
+                             f"so it cannot round-trip through the loss model") from None
     if not 0.0 <= unc_db < math.inf:
         raise ValueError(f"unc_db must be finite and >= 0, got {unc_db!r}")
     table = dict(factors)

@@ -6,9 +6,14 @@ Quadrature ordering is (x1, p1, x2, p2, ...). The vacuum covariance is the
 identity (shot-noise units), so a quadrature variance V reads directly as
 10*log10(V) dB on a homodyne trace. States and channels are immutable
 values; every operation returns a new state.
+
+An element channel (squeezer, phase shift, coupler, loss) stores only its
+own 2x2 or 4x4 (X, Y) block and the ordered modes it acts on, so applying
+it rewrites just those modes' rows and columns: O(N) work per element on
+an N-mode state instead of a dense 2N x 2N product.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +52,9 @@ class GaussianState:
             raise ValueError("cov must be a 2N x 2N matrix matching the mean")
         if not np.isfinite(mean).all() or not np.isfinite(cov).all():
             raise ValueError("state contains non-finite values")
-        cov = _symmetrised(cov, "covariance matrix is not symmetric")
+        self._store(mean, _symmetrised(cov, "covariance matrix is not symmetric"))
+
+    def _store(self, mean, cov):
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -62,12 +69,16 @@ class GaussianState:
 class GaussianChannel:
     """Deterministic Gaussian channel (X, Y): mean -> X mean, cov -> X cov X^T + Y.
 
-    Unifies symplectic operations (Y = 0) and losses. Construction checks
-    complete positivity, Y + i(Omega - X Omega X^T) >= 0.
+    Unifies symplectic operations (Y = 0) and losses. X and Y act on the
+    ordered `modes` of an `n_modes`-mode state; `GaussianChannel(X, Y)`
+    acts on all of them. Construction checks complete positivity,
+    Y + i(Omega - X Omega X^T) >= 0.
     """
 
     X: np.ndarray
     Y: np.ndarray
+    modes: tuple = field(init=False)
+    n_modes: int = field(init=False)
 
     def __post_init__(self):
         self._normalise(self.X, self.Y)
@@ -86,19 +97,44 @@ class GaussianChannel:
         if not np.isfinite(X).all() or not np.isfinite(Y).all():
             raise ValueError("channel contains non-finite values")
         Y = _symmetrised(Y, "Y must be symmetric")
+        n_modes = X.shape[0] // 2
+        self._place(X, Y, n_modes, tuple(range(n_modes)))
+
+    def _place(self, X, Y, n_modes, modes):
+        """Store the read-only blocks, their modes and the row indices `apply` rewrites."""
+        rows = [i for m in modes for i in (2 * m, 2 * m + 1)]
+        if rows == list(range(rows[0], rows[0] + len(rows))):
+            rows = slice(rows[0], rows[0] + len(rows))   # contiguous rows: index by views
         X.setflags(write=False)
         Y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-
-    @property
-    def n_modes(self):
-        return self.X.shape[0] // 2
+        for name, value in (("X", X), ("Y", Y), ("modes", modes), ("n_modes", n_modes),
+                            ("_rows", rows)):
+            object.__setattr__(self, name, value)
 
     def apply(self, state):
+        """The output state; only the rows and columns of `modes` are recomputed.
+
+        R = X C[rows, :] with its block R[:, rows] X^T + Y, symmetrised, in
+        the block columns becomes the new rows and R^T the new columns, so
+        the result is exactly symmetric. The input state is valid, so only
+        the rewritten entries can turn non-finite, and only those are checked.
+        """
         if state.n_modes != self.n_modes:
             raise ValueError("channel and state mode counts differ")
-        return _trusted(GaussianState, self.X @ state.mean, self.X @ state.cov @ self.X.T + self.Y)
+        rows, X = self._rows, self.X
+        new_mean = X @ state.mean[rows]
+        new_rows = X @ state.cov[rows]
+        block = new_rows[:, rows] @ X.T + self.Y
+        new_rows[:, rows] = 0.5 * (block + block.T)
+        if not np.isfinite(new_rows).all() or not np.isfinite(new_mean).all():
+            raise ValueError("state contains non-finite values")
+        mean, cov = state.mean.copy(), state.cov.copy()
+        mean[rows] = new_mean
+        cov[rows] = new_rows
+        cov[:, rows] = new_rows.T
+        out = object.__new__(GaussianState)
+        out._store(mean, cov)
+        return out
 
 
 def _symmetrised(matrix, message):
@@ -111,20 +147,33 @@ def _symmetrised(matrix, message):
 def _trusted(cls, first, second):
     """`cls(first, second)` for a GaussianState or GaussianChannel, minus the eigenvalue check.
 
-    Only for the package's own products: the element channels below are
-    completely positive by construction from range-checked scalars, and a
-    completely positive channel maps valid states to valid states.
+    Only for the package's own products that are physical by construction,
+    such as the vacuum.
     """
     obj = object.__new__(cls)
     obj._normalise(first, second)
     return obj
 
 
+def _element(X, Y, n_modes, modes):
+    """Element channel: its (X, Y) block on the ordered `modes` of an n_modes-mode state.
+
+    Completely positive and Y exactly symmetric by construction from
+    range-checked scalars, so only finiteness is checked (a squeezer's
+    e^r or e^2r can overflow).
+    """
+    if not np.isfinite(X).all() or not np.isfinite(Y).all():
+        raise ValueError("channel contains non-finite values")
+    channel = object.__new__(GaussianChannel)
+    channel._place(X, Y, n_modes, modes)
+    return channel
+
+
 def vacuum(n_modes):
     """N-mode vacuum: zero mean, identity covariance."""
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
+    return _trusted(GaussianState, np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
 def _check_mode(state_or_n, mode):
@@ -155,8 +204,7 @@ def phaseshift_symplectic(theta):
 def coupler_symplectic(ratio):
     """Two-mode coupler with power splitting ratio R, cos(theta) = sqrt(R)."""
     t, s = np.sqrt(ratio), np.sqrt(1.0 - ratio)
-    eye = np.eye(2)
-    return np.block([[t * eye, s * eye], [-s * eye, t * eye]])
+    return np.array([[t, 0.0, s, 0.0], [0.0, t, 0.0, s], [-s, 0.0, t, 0.0], [0.0, -s, 0.0, t]])
 
 
 def embed_single(block, mode, n_modes):
@@ -244,22 +292,17 @@ def squeezer_channel(n_modes, mode, r, phase=0.0, excess=1.0):
         raise ValueError("squeezing parameter r must be >= 0")
     if excess < 1.0:
         raise ValueError("excess noise factor must be >= 1")
-    X = embed_single(squeeze_symplectic(r, phase), mode, n_modes)
-    Y = np.zeros((2 * n_modes, 2 * n_modes))
+    noise = np.zeros((2, 2))
     if excess > 1.0:
-        noise = np.diag([0.0, (excess - 1.0) * np.exp(2.0 * r)])
-        if phase != 0.0:
-            rot = rotation_matrix(phase)
-            noise = rot @ noise @ rot.T
-        sl = slice(2 * mode, 2 * mode + 2)
-        Y[sl, sl] = noise
-    return _trusted(GaussianChannel, X, Y)
+        # (excess - 1) e^2r on the antisqueezed axis (-sin, cos) of the rotated squeezer
+        axis = np.array([-np.sin(phase), np.cos(phase)])
+        noise = (excess - 1.0) * np.exp(2.0 * r) * np.outer(axis, axis)
+    return _element(squeeze_symplectic(r, phase), noise, n_modes, (mode,))
 
 
 def phaseshift_channel(n_modes, mode, theta):
     _check_mode(n_modes, mode)
-    X = embed_single(phaseshift_symplectic(theta), mode, n_modes)
-    return _trusted(GaussianChannel, X, np.zeros_like(X))
+    return _element(phaseshift_symplectic(theta), np.zeros((2, 2)), n_modes, (mode,))
 
 
 def coupler_channel(n_modes, mode_a, mode_b, ratio):
@@ -269,16 +312,11 @@ def coupler_channel(n_modes, mode_a, mode_b, ratio):
         raise ValueError("coupler requires two distinct modes")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("splitting ratio must lie in [0, 1]")
-    X = embed_pair(coupler_symplectic(ratio), mode_a, mode_b, n_modes)
-    return _trusted(GaussianChannel, X, np.zeros_like(X))
+    return _element(coupler_symplectic(ratio), np.zeros((4, 4)), n_modes, (mode_a, mode_b))
 
 
 def loss_channel(n_modes, mode, eta):
     _check_mode(n_modes, mode)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("efficiency eta must lie in [0, 1]")
-    X = embed_single(np.sqrt(eta) * np.eye(2), mode, n_modes)
-    Y = np.zeros((2 * n_modes, 2 * n_modes))
-    sl = slice(2 * mode, 2 * mode + 2)
-    Y[sl, sl] = (1.0 - eta) * np.eye(2)
-    return _trusted(GaussianChannel, X, Y)
+    return _element(np.sqrt(eta) * np.eye(2), (1.0 - eta) * np.eye(2), n_modes, (mode,))

@@ -7,6 +7,8 @@ scatter sqrt(2/M) * 10/ln(10) dB per point.
 
 import math
 
+import numpy as np
+
 from .budget import build_report
 from .gaussian import vacuum
 from .homodyne import detection_factors, sweep, synthesize_trace
@@ -14,11 +16,16 @@ from .netlist import Loss, compile_spec
 
 
 def _propagate(spec):
-    """Compile a spec and push vacuum through its channels: (output state, plan)."""
-    channels, plan = compile_spec(spec)
-    state = vacuum(len(spec.modes))
-    for channel in channels:
-        state = channel.apply(state)
+    """Compile a spec and push vacuum through its channels: (output state, plan).
+
+    A channel or state that overflows raises ValueError, so numpy's own
+    overflow warnings are silenced here rather than printed ahead of it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        channels, plan = compile_spec(spec)
+        state = vacuum(len(spec.modes))
+        for channel in channels:
+            state = channel.apply(state)
     return state, plan
 
 

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,21 @@ def test_simulate_rejects_non_finite_model_trace(chip_file, tmp_path, capsys, mo
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("squeezer,message", [
+    ("r=400 phase=0.3", "state contains non-finite values"),   # e^800 overflows in apply
+    ("r=800", "channel contains non-finite values"),           # e^800 overflows in the block
+])
+def test_simulate_overflowing_squeezer_is_one_error_line(squeezer, message, tmp_path, capsys):
+    netlist = tmp_path / "huge.nl"
+    netlist.write_text(f"modes: sig\nsqueezer sig {squeezer}\n"
+                       "homodyne sig eta_pd=0.9 eta_e=0.9 ratio=0.5 sweep=0:3.14:8\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy overflow warning would fail here
+        assert main(["simulate", str(netlist), "--noiseless", "--csv", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_analyze_reference_numbers(capsys):
     assert main(["analyze", "--sq-db", "-2.00", "--asq-db", "2.80", "--eta", "0.71"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -187,20 +203,38 @@ def test_analyze_infeasible_input(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sq_db,asq_db,unc_db", [
-    ("1700", "1800", "0.05"),  # the purity product overflows a float
-    ("3100", "3100", "0.05"),  # the linear variance overflows and cannot round-trip
-    ("nan", "2.8", "0.05"),    # non-finite inputs would print as invalid JSON
-    ("-2", "inf", "0.05"),
-    ("-2", "2.8", "nan"),
-    ("-2", "2.8", "-1"),
-])
+# (sq_db, asq_db, unc_db) -> what the error names
+_ANALYZE_REJECTIONS = {
+    # the purity product overflows a float
+    ("1700", "1800", "0.05"): "purity product of inferred sq/asq 1701.549",
+    # the linear variance overflows and cannot round-trip
+    ("3100", "3100", "0.05"): "raw_sq_db 3100.0 dB has no finite linear variance",
+    # non-finite inputs would print as invalid JSON
+    ("nan", "2.8", "0.05"): "raw_sq_db nan is not finite",
+    ("-2", "inf", "0.05"): "raw_asq_db inf is not finite",
+    ("-2", "2.8", "nan"): "unc_db must be finite",
+    ("-2", "2.8", "-1"): "unc_db must be finite and >= 0",
+}
+
+
+@pytest.mark.parametrize("sq_db,asq_db,unc_db", list(_ANALYZE_REJECTIONS))
 def test_analyze_out_of_range_values_exit_2(sq_db, asq_db, unc_db, capsys):
     assert main(["analyze", "--sq-db", sq_db, "--asq-db", asq_db, "--unc-db", unc_db,
                  "--eta", "0.7"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert _ANALYZE_REJECTIONS[sq_db, asq_db, unc_db] in captured.err
     assert captured.out == ""
+
+
+def test_analyze_overflowing_db_is_one_error_line(capsys):
+    # 10**310 is not a double: rejected before any arithmetic, so nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--sq-db", "3100", "--asq-db", "3100", "--eta", "0.7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
 
 
 def test_analyze_rejects_mixed_budget_flags(capsys):

@@ -22,10 +22,12 @@ from sqzsim import (
     vacuum,
 )
 from sqzsim.gaussian import (
+    coupler_channel,
     coupler_symplectic,
     embed_pair,
     embed_single,
     loss_channel,
+    phaseshift_channel,
     phaseshift_symplectic,
     squeeze_symplectic,
     squeezer_channel,
@@ -237,6 +239,67 @@ def test_package_products_pass_the_public_checks(seed):
         GaussianChannel(channel.X, channel.Y)
     out = output_state(spec)
     GaussianState(out.mean, out.cov)
+    empty = vacuum(out.n_modes)
+    GaussianState(empty.mean, empty.cov)
+
+
+def _dense(channel):
+    """A local element channel written out as the full 2N x 2N (X, Y) pair."""
+    n = channel.n_modes
+    if len(channel.modes) == 1:
+        X = embed_single(channel.X, channel.modes[0], n)
+    else:
+        X = embed_pair(channel.X, *channel.modes, n)
+    rows = [i for m in channel.modes for i in (2 * m, 2 * m + 1)]
+    Y = np.zeros((2 * n, 2 * n))
+    Y[np.ix_(rows, rows)] = channel.Y
+    return X, Y
+
+
+@st.composite
+def _element_channels(draw, n_modes):
+    kind = draw(st.sampled_from(["squeezer", "phaseshift", "coupler", "loss"]))
+    modes = st.integers(0, n_modes - 1)
+    if kind == "squeezer":
+        return squeezer_channel(n_modes, draw(modes), draw(st.floats(0.0, 3.0)),
+                                draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(1.0, 2.0)))
+    if kind == "phaseshift":
+        return phaseshift_channel(n_modes, draw(modes), draw(st.floats(-7.0, 7.0)))
+    if kind == "loss":
+        return loss_channel(n_modes, draw(modes), draw(st.floats(0.0, 1.0)))
+    if n_modes < 2:
+        return loss_channel(n_modes, 0, draw(st.floats(0.0, 1.0)))
+    pair = draw(st.lists(modes, min_size=2, max_size=2, unique=True))
+    return coupler_channel(n_modes, *pair, draw(st.floats(0.0, 1.0)))
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_local_apply_equals_the_dense_product(n_modes, seed, data):
+    # an element channel rewrites only its modes' rows and columns; the
+    # result must be the dense X C X^T + Y of its embedded 2N x 2N form
+    state = random_gaussian_state(np.random.default_rng(seed), n_modes=n_modes)
+    channel = data.draw(_element_channels(n_modes))
+    assert channel.X.shape == channel.Y.shape == (2 * len(channel.modes),) * 2
+    mean_in, cov_in = state.mean.copy(), state.cov.copy()
+    out = channel.apply(state)
+    X, Y = _dense(channel)
+    want_cov, want_mean = X @ state.cov @ X.T + Y, X @ state.mean
+    assert np.abs(out.cov - want_cov).max() <= 1e-12 * np.abs(want_cov).max()
+    assert np.abs(out.mean - want_mean).max() <= 1e-12 * max(1.0, np.abs(want_mean).max())
+    assert np.array_equal(out.cov, out.cov.T)
+    assert np.array_equal(state.cov, cov_in) and np.array_equal(state.mean, mean_in)
+    # the public all-modes channel of the same dense pair takes the same path
+    full = GaussianChannel(X, Y)
+    assert full.modes == tuple(range(n_modes))
+    assert np.abs(full.apply(state).cov - want_cov).max() <= 1e-12 * np.abs(want_cov).max()
+
+
+def test_squeezing_beyond_double_precision_is_rejected():
+    # e^400 is a double, the squeezed covariance e^800 is not
+    channel = squeezer_channel(2, 1, 400.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            channel.apply(vacuum(2))
 
 
 def test_quadrature_variance_pi_periodic():
