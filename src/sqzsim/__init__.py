@@ -23,7 +23,7 @@ from .budget import (
     report_to_json,
     total_efficiency,
 )
-from .conversions import db_to_r, from_db, r_to_db, to_db
+from .conversions import from_db, to_db
 from .fock import (
     FockState,
     TruncationError,

@@ -21,12 +21,3 @@ def from_db(db):
     """Convert a dB value back to a linear, shot-noise-normalised variance."""
     return _as_scalar_or_array(10.0 ** (np.asarray(db, dtype=float) / 10.0))
 
-
-def r_to_db(r):
-    """Squeezing parameter to the dB level of the squeezed quadrature, 10*log10(exp(-2r))."""
-    return to_db(np.exp(-2.0 * np.asarray(r, dtype=float)))
-
-
-def db_to_r(db):
-    """Squeezed-quadrature dB level back to the squeezing parameter, r = -ln(V)/2."""
-    return _as_scalar_or_array(-0.5 * np.log(from_db(db)))

@@ -229,7 +229,8 @@ def embed_pair(block4, mode_a, mode_b, n_modes):
 
 def apply_squeezer(state, mode, r, phase=0.0):
     """Squeeze one mode: x-variance times e^-2r, p-variance times e^+2r at phase 0."""
-    return squeezer_channel(state.n_modes, mode, r, phase).apply(state)
+    with np.errstate(over="ignore", invalid="ignore"):   # an e^2r beyond a double raises ValueError
+        return squeezer_channel(state.n_modes, mode, r, phase).apply(state)
 
 
 def apply_phaseshift(state, mode, theta):
@@ -293,11 +294,13 @@ def squeezer_channel(n_modes, mode, r, phase=0.0, excess=1.0):
     if excess < 1.0:
         raise ValueError("excess noise factor must be >= 1")
     noise = np.zeros((2, 2))
-    if excess > 1.0:
-        # (excess - 1) e^2r on the antisqueezed axis (-sin, cos) of the rotated squeezer
-        axis = np.array([-np.sin(phase), np.cos(phase)])
-        noise = (excess - 1.0) * np.exp(2.0 * r) * np.outer(axis, axis)
-    return _element(squeeze_symplectic(r, phase), noise, n_modes, (mode,))
+    with np.errstate(over="ignore", invalid="ignore"):   # _element rejects e^r or e^2r beyond a double
+        if excess > 1.0:
+            # (excess - 1) e^2r on the antisqueezed axis (-sin, cos) of the rotated squeezer
+            axis = np.array([-np.sin(phase), np.cos(phase)])
+            noise = (excess - 1.0) * np.exp(2.0 * r) * np.outer(axis, axis)
+        X = squeeze_symplectic(r, phase)
+    return _element(X, noise, n_modes, (mode,))
 
 
 def phaseshift_channel(n_modes, mode, theta):

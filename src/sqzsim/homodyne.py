@@ -118,7 +118,7 @@ def synthesize_trace(trace, seed):
 def write_trace_csv(trace, target):
     """Write `phase_rad,variance_db` CSV rows (LF endings, `.` decimal point)."""
     text = "phase_rad,variance_db\n" + "".join(
-        f"{float(p)!r},{float(v)!r}\n" for p, v in zip(trace.phases, trace.variance_db)
+        f"{p!r},{v!r}\n" for p, v in zip(trace.phases.tolist(), trace.variance_db.tolist())
     )
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         with open(target, "w", encoding="utf-8", newline="\n") as fh:

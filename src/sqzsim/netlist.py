@@ -26,6 +26,11 @@ explicit `r` or a pump power with a single-pass gain (r = gain*sqrt(pump));
 through `pretty_print`, but no computation reads them. Exactly one
 homodyne statement is required and nothing may follow it.
 
+Each statement kind is one `_ROWS` row (keyword, mode fields, keys in
+print order, required keys, dataclass, cross-field check, channel builder)
+read by `parse`, `pretty_print` and `compile_spec`; `_KEYS` holds each
+key's value rule once. A new element is one row plus its dataclass.
+
 Errors carry a position and one of six kinds: unknown-keyword,
 undeclared-mode, bad-number, out-of-range, duplicate-measurement,
 missing-measurement. Structural problems (unknown or missing or repeated
@@ -37,7 +42,7 @@ out-of-range. Parameter values are validated before mode references, so
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -149,82 +154,158 @@ def _tokenize(line):
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
-_UNIT = ("eta", "ratio", "eta_pd", "eta_e", "visibility")
-_NONNEG = ("r", "pump_mw", "gain")
-_POSITIVE = ("rbw", "vbw", "center_freq", "sweep_time")
+def _number(holds, rule):
+    """Reader of a finite decimal number that must satisfy `holds`; `rule` words the out-of-range error."""
+    def read(key, text, line, col):
+        if not _NUMBER.match(text):
+            _err("bad-number", line, col, f"'{text}' is not a number")
+        value = float(text)
+        if not math.isfinite(value):
+            _err("bad-number", line, col, f"'{text}' is not finite")
+        if not holds(value):
+            _err("out-of-range", line, col, f"{key}={text} {rule}")
+        return value
+    return read
 
 
-def _parse_value(key, text, line, col):
-    if key == "label":
-        if not _IDENT.match(text):
-            _err("unknown-keyword", line, col, f"label '{text}' must be a lowercase identifier")
-        return text
-    if key == "sweep":
-        parts = text.split(":")
-        if len(parts) != 3:
-            _err("bad-number", line, col, f"sweep '{text}' must have the form a:b:n")
-        if not _NUMBER.match(parts[0]) or not _NUMBER.match(parts[1]):
-            _err("bad-number", line, col, f"sweep bounds in '{text}' are not numbers")
-        if not math.isfinite(float(parts[0])) or not math.isfinite(float(parts[1])):
-            _err("bad-number", line, col, f"sweep bounds in '{text}' are not finite")
-        if not _INT.match(parts[2]):
-            _err("bad-number", line, col, f"sweep count in '{text}' is not an integer")
-        digits = parts[2].lstrip("0") or "0"
-        # digit count first: int() refuses strings longer than 4300 digits
-        if len(digits) > len(str(MAX_SWEEP_POINTS)) or int(digits) > MAX_SWEEP_POINTS:
-            _err("out-of-range", line, col, f"sweep count in '{text}' exceeds {MAX_SWEEP_POINTS}")
-        n = int(digits)
-        if n < 2:
-            _err("out-of-range", line, col, f"sweep needs at least 2 points, got {n}")
-        a, b = float(parts[0]), float(parts[1])
-        if a == b:
-            _err("out-of-range", line, col, f"sweep '{text}' has equal bounds")
-        return (a, b, n)
-    if not _NUMBER.match(text):
-        _err("bad-number", line, col, f"'{text}' is not a number")
-    value = float(text)
-    if not math.isfinite(value):
-        _err("bad-number", line, col, f"'{text}' is not finite")
-    if key in _UNIT and not 0.0 <= value <= 1.0:
-        _err("out-of-range", line, col, f"{key}={text} outside [0, 1]")
-    if key in _NONNEG and value < 0.0:
-        _err("out-of-range", line, col, f"{key}={text} must be >= 0")
-    if key in _POSITIVE and value <= 0.0:
-        _err("out-of-range", line, col, f"{key}={text} must be > 0")
-    if key == "excess" and value < 1.0:
-        _err("out-of-range", line, col, f"excess={text} must be >= 1")
-    return value
+def _read_label(key, text, line, col):
+    if not _IDENT.match(text):
+        _err("unknown-keyword", line, col, f"label '{text}' must be a lowercase identifier")
+    return text
 
 
-def _split_params(tokens, line, allowed):
-    params = {}
-    cols = {}
-    for text, col in tokens:
+def _read_sweep(key, text, line, col):
+    parts = text.split(":")
+    if len(parts) != 3:
+        _err("bad-number", line, col, f"sweep '{text}' must have the form a:b:n")
+    if not _NUMBER.match(parts[0]) or not _NUMBER.match(parts[1]):
+        _err("bad-number", line, col, f"sweep bounds in '{text}' are not numbers")
+    if not math.isfinite(float(parts[0])) or not math.isfinite(float(parts[1])):
+        _err("bad-number", line, col, f"sweep bounds in '{text}' are not finite")
+    if not _INT.match(parts[2]):
+        _err("bad-number", line, col, f"sweep count in '{text}' is not an integer")
+    digits = parts[2].lstrip("0") or "0"
+    # digit count first: int() refuses strings longer than 4300 digits
+    if len(digits) > len(str(MAX_SWEEP_POINTS)) or int(digits) > MAX_SWEEP_POINTS:
+        _err("out-of-range", line, col, f"sweep count in '{text}' exceeds {MAX_SWEEP_POINTS}")
+    n = int(digits)
+    if n < 2:
+        _err("out-of-range", line, col, f"sweep needs at least 2 points, got {n}")
+    a, b = float(parts[0]), float(parts[1])
+    if a == b:
+        _err("out-of-range", line, col, f"sweep '{text}' has equal bounds")
+    return (a, b, n)
+
+
+def _fmt(value):
+    return repr(float(value))
+
+
+_IN_0_1 = (_number(lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"), _fmt)
+_AT_LEAST_0 = (_number(lambda v: v >= 0.0, "must be >= 0"), _fmt)
+_ABOVE_0 = (_number(lambda v: v > 0.0, "must be > 0"), _fmt)
+_ANGLE = (_number(lambda v: True, ""), _fmt)
+
+# key -> (reader: (key, text, line, col) -> value, writer: value -> text); the
+# one home of each key's range, shared by every statement that takes the key
+_KEYS = {
+    "r": _AT_LEAST_0, "pump_mw": _AT_LEAST_0, "gain": _AT_LEAST_0,
+    "phase": _ANGLE, "theta": _ANGLE,
+    "excess": (_number(lambda v: v >= 1.0, "must be >= 1"), _fmt),
+    "eta": _IN_0_1, "ratio": _IN_0_1, "eta_pd": _IN_0_1, "eta_e": _IN_0_1, "visibility": _IN_0_1,
+    "rbw": _ABOVE_0, "vbw": _ABOVE_0, "center_freq": _ABOVE_0, "sweep_time": _ABOVE_0,
+    "label": (_read_label, str),
+    "sweep": (_read_sweep, lambda sweep: f"{_fmt(sweep[0])}:{_fmt(sweep[1])}:{sweep[2]}"),
+}
+
+
+def _one_squeezing_source(st, cols, line):
+    if st.r is not None and (st.pump_mw is not None or st.gain is not None):
+        _err("unknown-keyword", line, cols["r"], "give either r or pump_mw with gain, not both")
+
+
+def _distinct_modes(st, cols, line):
+    if st.mode_a == st.mode_b:
+        _err("out-of-range", line, cols["mode_b"], "coupler requires two distinct modes")
+
+
+def _bandwidths(st, cols, line):
+    col = cols.get("vbw", cols.get("rbw"))   # the defaults pass both checks, so one is given
+    if st.vbw > st.rbw:
+        _err("out-of-range", line, col, f"vbw={st.vbw} exceeds rbw={st.rbw}")
+    if not math.isfinite(st.rbw / st.vbw):
+        _err("out-of-range", line, col, f"rbw/vbw overflows: rbw={st.rbw}, vbw={st.vbw}")
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One statement kind: how it is parsed, printed and compiled."""
+
+    keyword: str
+    cls: type
+    mode_fields: tuple   # the dataclass fields naming modes, in token order
+    keys: tuple          # the allowed parameters, in print order
+    required: object     # the given fields -> the parameters that must be given
+    check: object = None    # (statement, key and mode-field columns, line); raises NetlistParseError
+    channel: object = None  # (n_modes, mode name -> index, statement) -> GaussianChannel
+
+
+_ROWS = {row.keyword: row for row in (
+    _Row("squeezer", Squeezer, ("mode",), ("r", "pump_mw", "gain", "phase", "excess"),
+         required=lambda given: () if "r" in given else ("pump_mw", "gain"),
+         check=_one_squeezing_source,
+         channel=lambda n, at, st: squeezer_channel(n, at[st.mode], st.effective_r(), st.phase, st.excess)),
+    _Row("phaseshift", PhaseShift, ("mode",), ("theta",), required=lambda given: ("theta",),
+         channel=lambda n, at, st: phaseshift_channel(n, at[st.mode], st.theta)),
+    _Row("coupler", Coupler, ("mode_a", "mode_b"), ("ratio",), required=lambda given: ("ratio",),
+         check=_distinct_modes,
+         channel=lambda n, at, st: coupler_channel(n, at[st.mode_a], at[st.mode_b], st.ratio)),
+    _Row("loss", Loss, ("mode",), ("eta", "label"), required=lambda given: ("eta",),
+         channel=lambda n, at, st: loss_channel(n, at[st.mode], st.eta)),
+    _Row("homodyne", Homodyne, ("mode",),
+         ("eta_pd", "eta_e", "ratio", "sweep", "visibility", "rbw", "vbw", "center_freq", "sweep_time"),
+         required=lambda given: ("eta_pd", "eta_e", "ratio", "sweep"),
+         check=_bandwidths),
+)}
+_MEASUREMENT = _ROWS["homodyne"]
+_ELEMENTS = {row.cls: row for row in _ROWS.values() if row is not _MEASUREMENT}
+
+
+def _statement(row, tokens, line, declared):
+    """The row's statement from a line's tokens, keyword first.
+
+    Checks mode names, each parameter's key then value, the required keys
+    and the row's check before it looks up the modes' declarations.
+    """
+    head, head_col = tokens[0]
+    count = len(row.mode_fields)
+    if len(tokens) <= count:
+        _err("unknown-keyword", line, head_col, f"{head} needs {count} mode name(s)")
+    values, cols = {}, {}   # the dataclass fields (mode names, then parameters) and their columns
+    for name, (text, col) in zip(row.mode_fields, tokens[1:]):
+        if "=" in text:
+            _err("unknown-keyword", line, col, f"expected a mode name, got '{text}'")
+        values[name], cols[name] = text, col
+    for text, col in tokens[count + 1:]:
         key, eq, value = text.partition("=")
         if not eq:
             _err("unknown-keyword", line, col, f"expected key=value, got '{text}'")
-        if key not in allowed:
+        if key not in row.keys:
             _err("unknown-keyword", line, col, f"unknown parameter '{key}'")
-        if key in params:
+        if key in values:
             _err("unknown-keyword", line, col, f"duplicate parameter '{key}'")
-        params[key] = _parse_value(key, value, line, col)
-        cols[key] = col
-    return params, cols
-
-
-def _require(params, keys, line, col, statement):
-    missing = [k for k in keys if k not in params]
+        values[key], cols[key] = _KEYS[key][0](key, value, line, col), col
+    missing = [key for key in row.required(values) if key not in values]
     if missing:
-        _err("unknown-keyword", line, col, f"{statement} is missing required parameter(s) {', '.join(missing)}")
-
-
-def _mode_tokens(tokens, count, line, head_col, statement):
-    if len(tokens) < count:
-        _err("unknown-keyword", line, head_col, f"{statement} needs {count} mode name(s)")
-    for text, col in tokens[:count]:
-        if "=" in text:
-            _err("unknown-keyword", line, col, f"expected a mode name, got '{text}'")
-    return tokens[:count], tokens[count:]
+        _err("unknown-keyword", line, head_col,
+             f"{head} is missing required parameter(s) {', '.join(missing)}")
+    statement = row.cls(**values)
+    if row.check is not None:
+        row.check(statement, cols, line)
+    for name in row.mode_fields:
+        if values[name] not in declared:
+            _err("undeclared-mode", line, cols[name], f"mode '{values[name]}' is not declared")
+    return statement
 
 
 def parse(source):
@@ -246,132 +327,57 @@ def parse(source):
         if not tokens:
             continue
         head, head_col = tokens[0]
-        rest = tokens[1:]
+        row = _ROWS.get(head)
 
         if measurement is not None:
-            if head == "homodyne":
+            if row is _MEASUREMENT:
                 _err("duplicate-measurement", line_no, head_col,
                      f"second homodyne statement (first on line {measurement_line})")
             _err("unknown-keyword", line_no, head_col, "no statements allowed after the homodyne measurement")
 
         if head == "modes:":
-            if not rest:
+            if len(tokens) == 1:
                 _err("unknown-keyword", line_no, head_col, "modes: needs at least one identifier")
-            for text, col in rest:
+            for text, col in tokens[1:]:
                 if not _IDENT.match(text):
                     _err("unknown-keyword", line_no, col, f"'{text}' is not a valid mode identifier")
                 if text in declared:
                     _err("unknown-keyword", line_no, col, f"duplicate mode declaration '{text}'")
                 declared.append(text)
-            continue
-
-        if head == "squeezer":
-            modes, params_tokens = _mode_tokens(rest, 1, line_no, head_col, "squeezer")
-            params, cols = _split_params(params_tokens, line_no,
-                                         ("r", "pump_mw", "gain", "phase", "excess"))
-            if "r" in params and ("pump_mw" in params or "gain" in params):
-                _err("unknown-keyword", line_no, cols["r"],
-                     "give either r or pump_mw with gain, not both")
-            if "r" not in params:
-                _require(params, ("pump_mw", "gain"), line_no, head_col, "squeezer")
-            _check_declared(modes, declared, line_no)
-            statements.append(Squeezer(mode=modes[0][0], **params))
-            continue
-
-        if head == "phaseshift":
-            modes, params_tokens = _mode_tokens(rest, 1, line_no, head_col, "phaseshift")
-            params, _ = _split_params(params_tokens, line_no, ("theta",))
-            _require(params, ("theta",), line_no, head_col, "phaseshift")
-            _check_declared(modes, declared, line_no)
-            statements.append(PhaseShift(mode=modes[0][0], theta=params["theta"]))
-            continue
-
-        if head == "coupler":
-            modes, params_tokens = _mode_tokens(rest, 2, line_no, head_col, "coupler")
-            params, _ = _split_params(params_tokens, line_no, ("ratio",))
-            _require(params, ("ratio",), line_no, head_col, "coupler")
-            if modes[0][0] == modes[1][0]:
-                _err("out-of-range", line_no, modes[1][1], "coupler requires two distinct modes")
-            _check_declared(modes, declared, line_no)
-            statements.append(Coupler(mode_a=modes[0][0], mode_b=modes[1][0], ratio=params["ratio"]))
-            continue
-
-        if head == "loss":
-            modes, params_tokens = _mode_tokens(rest, 1, line_no, head_col, "loss")
-            params, _ = _split_params(params_tokens, line_no, ("eta", "label"))
-            _require(params, ("eta",), line_no, head_col, "loss")
-            _check_declared(modes, declared, line_no)
-            statements.append(Loss(mode=modes[0][0], eta=params["eta"], label=params.get("label")))
-            continue
-
-        if head == "homodyne":
-            modes, params_tokens = _mode_tokens(rest, 1, line_no, head_col, "homodyne")
-            params, cols = _split_params(params_tokens, line_no,
-                                         ("eta_pd", "eta_e", "ratio", "sweep", "visibility",
-                                          "rbw", "vbw", "center_freq", "sweep_time"))
-            _require(params, ("eta_pd", "eta_e", "ratio", "sweep"), line_no, head_col, "homodyne")
-            measurement = Homodyne(mode=modes[0][0], **params)
-            if measurement.vbw > measurement.rbw:
-                _err("out-of-range", line_no, cols.get("vbw", cols.get("rbw", head_col)),
-                     f"vbw={measurement.vbw} exceeds rbw={measurement.rbw}")
-            if not math.isfinite(measurement.rbw / measurement.vbw):
-                _err("out-of-range", line_no, cols.get("vbw", cols.get("rbw", head_col)),
-                     f"rbw/vbw overflows: rbw={measurement.rbw}, vbw={measurement.vbw}")
-            _check_declared(modes, declared, line_no)
-            measurement_line = line_no
-            continue
-
-        _err("unknown-keyword", line_no, head_col, f"unknown statement '{head}'")
+        elif row is None:
+            _err("unknown-keyword", line_no, head_col, f"unknown statement '{head}'")
+        elif row is _MEASUREMENT:
+            measurement, measurement_line = _statement(row, tokens, line_no, declared), line_no
+        else:
+            statements.append(_statement(row, tokens, line_no, declared))
 
     if measurement is None:
         _err("missing-measurement", len(lines), 1, "netlist has no homodyne measurement statement")
     return CircuitSpec(modes=tuple(declared), statements=tuple(statements), measurement=measurement)
 
 
-def _check_declared(mode_tokens, declared, line):
-    for text, col in mode_tokens:
-        if text not in declared:
-            _err("undeclared-mode", line, col, f"mode '{text}' is not declared")
+def _element_row(statement):
+    row = _ELEMENTS.get(type(statement))
+    if row is None:
+        raise TypeError(f"unknown statement type {type(statement).__name__}")
+    return row
 
 
-def _fmt(value):
-    return repr(float(value))
-
-
-def _non_default(statement, keys):
-    """` key=value` for each optional key whose value differs from its field default."""
-    defaults = {f.name: f.default for f in fields(statement)}
-    return "".join(f" {k}={_fmt(getattr(statement, k))}" for k in keys
-                   if getattr(statement, k) != defaults[k])
+def _statement_text(row, st):
+    """Keyword, mode names, then `key=value` for each key that differs from its field default."""
+    words = [row.keyword, *(str(getattr(st, name)) for name in row.mode_fields)]
+    for key in row.keys:
+        value = getattr(st, key)
+        if value != getattr(row.cls, key, MISSING):   # the class attribute is the field default
+            words.append(f"{key}={_KEYS[key][1](value)}")
+    return " ".join(words)
 
 
 def pretty_print(spec):
     """Canonical text for a CircuitSpec; parses back to an identical spec."""
     out = [VERSION_HEADER, "modes: " + " ".join(spec.modes)]
-    for st in spec.statements:
-        if isinstance(st, Squeezer):
-            line = f"squeezer {st.mode} "
-            if st.r is not None:
-                line += f"r={_fmt(st.r)}"
-            else:
-                line += f"pump_mw={_fmt(st.pump_mw)} gain={_fmt(st.gain)}"
-            line += _non_default(st, ("phase", "excess"))
-        elif isinstance(st, PhaseShift):
-            line = f"phaseshift {st.mode} theta={_fmt(st.theta)}"
-        elif isinstance(st, Coupler):
-            line = f"coupler {st.mode_a} {st.mode_b} ratio={_fmt(st.ratio)}"
-        elif isinstance(st, Loss):
-            line = f"loss {st.mode} eta={_fmt(st.eta)}"
-            if st.label is not None:
-                line += f" label={st.label}"
-        else:
-            raise TypeError(f"unknown statement type {type(st).__name__}")
-        out.append(line)
-    m = spec.measurement
-    a, b, n = m.sweep
-    line = (f"homodyne {m.mode} eta_pd={_fmt(m.eta_pd)} eta_e={_fmt(m.eta_e)} "
-            f"ratio={_fmt(m.ratio)} sweep={_fmt(a)}:{_fmt(b)}:{n}")
-    out.append(line + _non_default(m, ("visibility", "rbw", "vbw", "center_freq", "sweep_time")))
+    out += [_statement_text(_element_row(st), st) for st in spec.statements]
+    out.append(_statement_text(_MEASUREMENT, spec.measurement))
     return "\n".join(out) + "\n"
 
 
@@ -379,18 +385,6 @@ def compile_spec(spec):
     """Compile a CircuitSpec to an ordered GaussianChannel list and a MeasurementPlan."""
     n = len(spec.modes)
     index = {name: i for i, name in enumerate(spec.modes)}
-    channels = []
-    for st in spec.statements:
-        if isinstance(st, Squeezer):
-            channels.append(squeezer_channel(n, index[st.mode], st.effective_r(),
-                                             phase=st.phase, excess=st.excess))
-        elif isinstance(st, PhaseShift):
-            channels.append(phaseshift_channel(n, index[st.mode], st.theta))
-        elif isinstance(st, Coupler):
-            channels.append(coupler_channel(n, index[st.mode_a], index[st.mode_b], st.ratio))
-        elif isinstance(st, Loss):
-            channels.append(loss_channel(n, index[st.mode], st.eta))
-        else:
-            raise TypeError(f"unknown statement type {type(st).__name__}")
+    channels = [_element_row(st).channel(n, index, st) for st in spec.statements]
     m = spec.measurement
     return channels, MeasurementPlan(mode=index[m.mode], phases=phase_grid(*m.sweep), config=m.config())

@@ -1,5 +1,7 @@
 """Gaussian state and channel operations against closed forms and invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -300,6 +302,16 @@ def test_squeezing_beyond_double_precision_is_rejected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             channel.apply(vacuum(2))
+
+
+@pytest.mark.parametrize("call", [lambda: apply_squeezer(vacuum(1), 0, 400.0),
+                                  lambda: squeezer_channel(1, 0, 800.0)],
+                         ids=["apply-e800", "channel-e800"])
+def test_direct_overflowing_squeezer_raises_only_value_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy overflow warning would fail here
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
 
 
 def test_quadrature_variance_pi_periodic():

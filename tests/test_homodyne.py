@@ -215,3 +215,10 @@ def test_csv_export_format():
     assert buffer.getvalue() == text
     assert text == "phase_rad,variance_db\n0.0,0.0\n0.5,-2.125\n"
     assert "\r" not in text
+
+
+def test_csv_rows_are_the_reprs_of_the_python_floats():
+    awkward = [-0.0, 1e-300, 5e-324, 0.1 + 0.2, 2 * math.pi]
+    trace = HomodyneTrace(phases=np.array(awkward), variance_db=np.array(awkward[::-1]), config=IDEAL)
+    rows = write_trace_csv(trace, io.StringIO()).splitlines(keepends=True)
+    assert rows[1:] == [f"{x!r},{y!r}\n" for x, y in zip(awkward, awkward[::-1])]

@@ -1,5 +1,7 @@
 """Netlist parsing, pretty-printing, compilation and totality properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -156,19 +158,41 @@ def test_pretty_print_round_trip_random_specs():
         assert parse(text) == spec
 
 
+# sha256 of the 20000 outcomes below, as the parser gave them before its
+# statement kinds became table rows: any change to a parse or an error shows
+FUZZ_OUTCOMES_SHA256 = "2c849d4e5e610fd7d0263c1664a3618b4302f28493c4d9ab8030cae8928a1004"
+
+
 def test_fuzz_totality_sample():
     rng = np.random.default_rng(43)
     outcomes = {"spec": 0, "error": 0}
+    digest = hashlib.sha256()
     for _ in range(20000):
         text = random_fuzz_text(rng)
         try:
             result = parse(text)
             assert isinstance(result, CircuitSpec)
             outcomes["spec"] += 1
+            outcome = pretty_print(result)
         except NetlistParseError as exc:
             assert exc.line >= 1 and exc.col >= 1
             outcomes["error"] += 1
+            outcome = (exc.kind, exc.line, exc.col, exc.message)
+        digest.update(repr(outcome).encode() + b"\n")
     assert outcomes["error"] > 0  # the generator does exercise failures
+    assert digest.hexdigest() == FUZZ_OUTCOMES_SHA256
+
+
+@pytest.mark.parametrize("stranger", [object(), parse(MINIMAL).measurement], ids=["object", "homodyne"])
+def test_non_element_statement_is_a_type_error(stranger):
+    # the measurement is not an element: it lives in `measurement`, never in `statements`
+    spec = CircuitSpec(modes=("sig",), statements=(Squeezer(mode="sig", r=0.5), stranger),
+                       measurement=parse(MINIMAL).measurement)
+    name = type(stranger).__name__
+    with pytest.raises(TypeError, match=f"unknown statement type {name}"):
+        pretty_print(spec)
+    with pytest.raises(TypeError, match=f"unknown statement type {name}"):
+        compile_spec(spec)
 
 
 def test_compile_measurement_only_is_identity():
