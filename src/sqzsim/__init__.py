@@ -46,7 +46,6 @@ from .gaussian import (
     vacuum,
 )
 from .homodyne import (
-    HomodyneConfig,
     HomodyneTrace,
     detection_factors,
     effective_efficiency,

@@ -51,8 +51,8 @@ class EfficiencyBudget:
 
 def fresnel_efficiency(n1, n2):
     """Facet transmission 1 - ((n1 - n2)/(n1 + n2))^2 at an index step."""
-    if n1 <= 0 or n2 <= 0:
-        raise ValueError("refractive indices must be positive")
+    if not (0 < n1 < math.inf and 0 < n2 < math.inf):
+        raise ValueError(f"refractive indices must be positive and finite, got {n1!r}, {n2!r}")
     return 1.0 - ((n1 - n2) / (n1 + n2)) ** 2
 
 
@@ -60,7 +60,12 @@ def electronic_efficiency(snr_db):
     """Electronic-noise penalty (S - 1)/S for a shot-to-dark SNR given in dB."""
     if snr_db <= 0:
         raise ValueError("SNR must be positive (in dB); noise would swamp the signal")
-    snr = 10.0 ** (snr_db / 10.0)
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not math.isfinite(snr):
+        raise ValueError(f"SNR {snr_db!r} dB has no finite linear value")
     return (snr - 1.0) / snr
 
 
@@ -114,17 +119,23 @@ def purity_product(sq_db, asq_db):
 
 def pump_to_r(pump_mw, gain):
     """Single-pass squeezing parameter r = gain * sqrt(pump power)."""
-    if pump_mw < 0 or gain < 0:
-        raise ValueError("pump power and gain must be >= 0")
+    if not (0 <= pump_mw < math.inf and 0 <= gain < math.inf):
+        raise ValueError(f"pump power and gain must be finite and >= 0, got {pump_mw!r}, {gain!r}")
     return gain * math.sqrt(pump_mw)
 
 
 def extrapolate_squeezing(gain, pump_mw, eta_eff=1.0):
-    """Best measurable squeezing in dB at a pump power, under effective efficiency eta_eff."""
+    """Best measurable squeezing in dB at a pump power, under effective efficiency eta_eff.
+
+    Raises ValueError when the linear variance underflows to 0, which has no dB value.
+    """
     if not 0.0 <= eta_eff <= 1.0:
         raise ValueError("eta_eff must lie in [0, 1]")
     r = pump_to_r(pump_mw, gain)
-    return to_db(eta_eff * math.exp(-2.0 * r) + (1.0 - eta_eff))
+    variance = eta_eff * math.exp(-2.0 * r) + (1.0 - eta_eff)
+    if variance == 0.0:
+        raise ValueError(f"squeezed variance at r={r!r} underflows to 0, which has no dB value")
+    return to_db(variance)
 
 
 @dataclass(frozen=True)
@@ -158,7 +169,7 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
     The report carries the table as its budget and inverts the loss model
     with its total_efficiency, so eta_total is always the budget's product.
     Raw dB values must be finite with a linear variance that is a finite
-    double, and unc_db finite and >= 0.
+    double, unc_db finite and >= 0, and the inferred uncertainties finite.
     """
     for name, value in (("raw_sq_db", raw_sq_db), ("raw_asq_db", raw_asq_db)):
         if not math.isfinite(value):
@@ -179,6 +190,11 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
             raise ValueError(f"loss-model inversion does not round-trip at {raw!r} dB "
                              f"(beyond double precision)")
     purity = purity_product(inferred_sq, inferred_asq)
+    uncertainties = {name: _inferred_unc_db(raw, unc_db, eta) for name, raw in
+                     (("inferred_sq_unc_db", raw_sq_db), ("inferred_asq_unc_db", raw_asq_db))}
+    for name, value in uncertainties.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {value!r} is not finite")
     return SqueezingReport(
         raw_sq_db=float(raw_sq_db),
         raw_asq_db=float(raw_asq_db),
@@ -186,8 +202,7 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
         eta_total=float(eta),
         inferred_sq_db=inferred_sq,
         inferred_asq_db=inferred_asq,
-        inferred_sq_unc_db=_inferred_unc_db(raw_sq_db, unc_db, eta),
-        inferred_asq_unc_db=_inferred_unc_db(raw_asq_db, unc_db, eta),
+        **uncertainties,
         purity_product=purity,
         purity_product_db=to_db(purity),
         budget=table,

@@ -31,49 +31,20 @@ def _fail(message, code):
     return code
 
 
-def _domain_failure(exc):
-    """Exit 2 for a ValueError or an OverflowError raised while simulating or analysing."""
-    if isinstance(exc, OverflowError):
-        exc = f"numeric overflow in the report: {exc}"
-    return _fail(exc, EXIT_DOMAIN)
-
-
-def _load_spec(path):
-    return parse(Path(path).read_bytes())
-
-
 def cmd_validate(args):
-    try:
-        _load_spec(args.netlist)
-    except NetlistParseError as exc:
-        print(f"{args.netlist}:{exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
+    parse(Path(args.netlist).read_bytes())
     print(f"{args.netlist}: OK")
     return EXIT_OK
 
 
 def cmd_simulate(args):
-    try:
-        spec = _load_spec(args.netlist)
-    except NetlistParseError as exc:
-        print(f"{args.netlist}:{exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
+    spec = parse(Path(args.netlist).read_bytes())
     if not args.noiseless and args.seed is None:
-        return _fail("--seed is required unless --noiseless is given", EXIT_DOMAIN)
-    try:
-        trace, report = run_spec(spec, noiseless=args.noiseless, seed=args.seed)
-    except (ValueError, OverflowError) as exc:
-        return _domain_failure(exc)
-    try:
-        write_trace_csv(trace, args.csv)
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report_to_json(report))
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
+        raise ValueError("--seed is required unless --noiseless is given")
+    trace, report = run_spec(spec, noiseless=args.noiseless, seed=args.seed)
+    write_trace_csv(trace, args.csv)
+    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(report_to_json(report))
     print(f"wrote {args.csv} ({trace.phases.size} points)")
     print(f"wrote {args.report}")
     print(f"raw squeezing {report.raw_sq_db!r} dB, antisqueezing {report.raw_asq_db!r} dB")
@@ -97,33 +68,23 @@ def _factors_from_args(args):
 
 
 def cmd_analyze(args):
-    try:
-        report = build_report(args.sq_db, args.asq_db, args.unc_db, factors=_factors_from_args(args))
-    except (ValueError, OverflowError) as exc:
-        return _domain_failure(exc)
+    report = build_report(args.sq_db, args.asq_db, args.unc_db, factors=_factors_from_args(args))
     sys.stdout.write(report_to_json(report))
     return EXIT_OK
 
 
 def cmd_extrapolate(args):
-    try:
-        db = extrapolate_squeezing(args.gain, args.pump_mw, args.eta_eff)
-    except ValueError as exc:
-        return _fail(exc, EXIT_DOMAIN)
-    print(repr(db))
+    print(repr(extrapolate_squeezing(args.gain, args.pump_mw, args.eta_eff)))
     return EXIT_OK
 
 
 def cmd_calibrate(args):
     if args.snr_db is None and args.n_chip is None:
-        return _fail("give --snr-db and/or --n-chip", EXIT_DOMAIN)
-    try:
-        if args.snr_db is not None:
-            print(f"eta_e {electronic_efficiency(args.snr_db)!r}")
-        if args.n_chip is not None:
-            print(f"eta_fresnel {fresnel_efficiency(args.n_air, args.n_chip)!r}")
-    except ValueError as exc:
-        return _fail(exc, EXIT_DOMAIN)
+        raise ValueError("give --snr-db and/or --n-chip")
+    if args.snr_db is not None:
+        print(f"eta_e {electronic_efficiency(args.snr_db)!r}")
+    if args.n_chip is not None:
+        print(f"eta_fresnel {fresnel_efficiency(args.n_air, args.n_chip)!r}")
     return EXIT_OK
 
 
@@ -174,8 +135,19 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; each error kind is mapped to its message and exit code here."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NetlistParseError as exc:
+        print(f"{args.netlist}:{exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as exc:
+        return _fail(exc, EXIT_IO)
+    except OverflowError as exc:   # the report's purity product beyond a double
+        return _fail(f"numeric overflow in the report: {exc}", EXIT_DOMAIN)
+    except ValueError as exc:
+        return _fail(exc, EXIT_DOMAIN)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ it rewrites just those modes' rows and columns: O(N) work per element on
 an N-mode state instead of a dense 2N x 2N product.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,12 +159,9 @@ def _trusted(cls, first, second):
 def _element(X, Y, n_modes, modes):
     """Element channel: its (X, Y) block on the ordered `modes` of an n_modes-mode state.
 
-    Completely positive and Y exactly symmetric by construction from
-    range-checked scalars, so only finiteness is checked (a squeezer's
-    e^r or e^2r can overflow).
+    Finite, completely positive and Y exactly symmetric by construction
+    from scalars the builders have checked, so nothing is checked here.
     """
-    if not np.isfinite(X).all() or not np.isfinite(Y).all():
-        raise ValueError("channel contains non-finite values")
     channel = object.__new__(GaussianChannel)
     channel._place(X, Y, n_modes, modes)
     return channel
@@ -293,18 +291,26 @@ def squeezer_channel(n_modes, mode, r, phase=0.0, excess=1.0):
         raise ValueError("squeezing parameter r must be >= 0")
     if excess < 1.0:
         raise ValueError("excess noise factor must be >= 1")
+    # the block's largest scale, e^r or (excess - 1) e^2r, must be a double at a
+    # finite phase; NaN or inf in any argument fails here too
+    try:
+        scale = math.exp(r) if excess == 1.0 else (excess - 1.0) * math.exp(2.0 * r)
+    except OverflowError:
+        scale = math.inf
+    if not (math.isfinite(scale) and math.isfinite(phase)):
+        raise ValueError("channel contains non-finite values")
     noise = np.zeros((2, 2))
-    with np.errstate(over="ignore", invalid="ignore"):   # _element rejects e^r or e^2r beyond a double
-        if excess > 1.0:
-            # (excess - 1) e^2r on the antisqueezed axis (-sin, cos) of the rotated squeezer
-            axis = np.array([-np.sin(phase), np.cos(phase)])
-            noise = (excess - 1.0) * np.exp(2.0 * r) * np.outer(axis, axis)
-        X = squeeze_symplectic(r, phase)
-    return _element(X, noise, n_modes, (mode,))
+    if excess > 1.0:
+        # (excess - 1) e^2r on the antisqueezed axis (-sin, cos) of the rotated squeezer
+        axis = np.array([-np.sin(phase), np.cos(phase)])
+        noise = (excess - 1.0) * np.exp(2.0 * r) * np.outer(axis, axis)
+    return _element(squeeze_symplectic(r, phase), noise, n_modes, (mode,))
 
 
 def phaseshift_channel(n_modes, mode, theta):
     _check_mode(n_modes, mode)
+    if not math.isfinite(theta):
+        raise ValueError("channel contains non-finite values")
     return _element(phaseshift_symplectic(theta), np.zeros((2, 2)), n_modes, (mode,))
 
 

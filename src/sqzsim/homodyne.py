@@ -4,7 +4,8 @@ The detection chain (coupler imbalance, photodiodes, electronics, mode
 matching) collapses to a single effective efficiency eta, so the detector
 reads eta * V(theta) + (1 - eta) off the measured mode's 2x2 covariance
 block. Spectrum-analyser traces are noiseless variance-vs-phase sweeps in
-dB, optionally dressed with the finite RBW/VBW estimator scatter.
+dB, optionally dressed with the finite RBW/VBW estimator scatter, which
+depends only on M = rbw/vbw.
 """
 
 import io
@@ -17,33 +18,12 @@ from .conversions import from_db, to_db
 from .gaussian import quadrature_variance
 
 
-@dataclass(frozen=True)
-class HomodyneConfig:
-    """Detection-chain settings; bandwidths in Hz."""
-
-    eta_pd: float
-    eta_e: float
-    coupler_ratio: float
-    visibility: float = 1.0
-    rbw: float = 1.0e5
-    vbw: float = 30.0
-
-    def __post_init__(self):
-        for name in ("eta_pd", "eta_e", "coupler_ratio", "visibility"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if not 0.0 < self.vbw <= self.rbw or not math.isfinite(self.rbw / self.vbw):
-            raise ValueError("need rbw >= vbw > 0 with a finite rbw/vbw")
-
-
 @dataclass(frozen=True, eq=False)
 class HomodyneTrace:
-    """Sampled (LO phase, variance in dB) series with its detection config."""
+    """Sampled (LO phase, variance in dB) series."""
 
     phases: np.ndarray
     variance_db: np.ndarray
-    config: HomodyneConfig
 
     def __post_init__(self):
         phases = np.array(self.phases, dtype=float)
@@ -56,33 +36,41 @@ class HomodyneTrace:
         object.__setattr__(self, "variance_db", variance_db)
 
 
-def detection_factors(config):
-    """Name -> efficiency table of the detection chain, in multiplication order.
+def detection_factors(homodyne):
+    """Name -> efficiency table of a `Homodyne` statement's chain, in multiplication order.
 
     The imbalance 4R(1-R) and mode-matching v^2 terms appear only when not 1.
+    `eta_pd`, `eta_e`, `ratio` and `visibility` must lie in [0, 1], which a
+    hand-built statement has not been checked for.
     """
+    for name in ("eta_pd", "eta_e", "ratio", "visibility"):
+        value = getattr(homodyne, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
     table = {}
-    imbalance = 4.0 * config.coupler_ratio * (1.0 - config.coupler_ratio)
+    imbalance = 4.0 * homodyne.ratio * (1.0 - homodyne.ratio)
     if imbalance != 1.0:
         table["coupler_imbalance"] = imbalance
-    if config.visibility != 1.0:
-        table["visibility"] = config.visibility**2
-    table["photodiode"] = config.eta_pd
-    table["electronics"] = config.eta_e
+    if homodyne.visibility != 1.0:
+        table["visibility"] = homodyne.visibility**2
+    table["photodiode"] = homodyne.eta_pd
+    table["electronics"] = homodyne.eta_e
     return table
 
 
-def effective_efficiency(config):
-    """Total homodyne efficiency 4R(1-R) * v^2 * eta_pd * eta_e."""
-    return math.prod(detection_factors(config).values())
+def effective_efficiency(homodyne):
+    """Total homodyne efficiency 4R(1-R) * v^2 * eta_pd * eta_e of a `Homodyne` statement."""
+    return math.prod(detection_factors(homodyne).values())
 
 
-def measure_variance(state, mode, theta, config):
-    """Measured quadrature variance eta * V(theta) + (1 - eta), eta = effective_efficiency.
+def measure_variance(state, mode, theta, eta):
+    """Measured quadrature variance eta * V(theta) + (1 - eta) at detection efficiency eta.
 
-    `theta` is a scalar (gives a float) or an array of LO phases.
+    `theta` is a scalar (gives a float) or an array of LO phases; eta must
+    lie in [0, 1].
     """
-    eta = effective_efficiency(config)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"detection efficiency eta must lie in [0, 1], got {eta!r}")
     return eta * quadrature_variance(state, mode, theta) + (1.0 - eta)
 
 
@@ -91,28 +79,30 @@ def phase_grid(a, b, n):
     return a + (b - a) / n * np.arange(n)
 
 
-def sweep(state, mode, config, phases):
-    """Noiseless variance-vs-phase trace in dB over a 1-D array of at least 2 LO phases."""
+def sweep(state, mode, eta, phases):
+    """Noiseless trace in dB at efficiency eta over a 1-D array of at least 2 LO phases."""
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 2:
         raise ValueError("sweep needs at least 2 points")
-    return HomodyneTrace(phases, to_db(measure_variance(state, mode, phases, config)), config)
+    return HomodyneTrace(phases, to_db(measure_variance(state, mode, phases, eta)))
 
 
-def synthesize_trace(trace, seed):
+def synthesize_trace(trace, m_samples, seed):
     """Dress a noiseless trace with spectrum-analyser estimator scatter.
 
     Each point's linear variance is multiplied by an independent
-    Gamma(M/2, scale 2/M) factor, M = rbw/vbw of the trace's config: the
-    mean of M chi-squared(1) power samples, so always positive, of mean 1
-    and variance 2/M. `seed` seeds the generator and is required.
+    Gamma(M/2, scale 2/M) factor, M = `m_samples` = rbw/vbw with
+    1 <= M < inf: the mean of M chi-squared(1) power samples, so always
+    positive, of mean 1 and variance 2/M. `seed` seeds the generator and
+    is required.
     """
+    if not 1.0 <= m_samples < math.inf:
+        raise ValueError(f"need 1 <= M = rbw/vbw < inf, got M={m_samples!r}")
     if seed is None:
         raise ValueError("a seed is required to synthesize estimator noise")
-    m_samples = trace.config.rbw / trace.config.vbw
     factors = np.random.default_rng(seed).gamma(m_samples / 2.0, 2.0 / m_samples,
                                                 trace.variance_db.size)
-    return HomodyneTrace(trace.phases, to_db(from_db(trace.variance_db) * factors), trace.config)
+    return HomodyneTrace(trace.phases, to_db(from_db(trace.variance_db) * factors))
 
 
 def write_trace_csv(trace, target):

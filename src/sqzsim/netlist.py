@@ -2,8 +2,8 @@
 
 Grammar (one statement per line, `#` starts a comment, tokens are
 whitespace separated, parameters are `key=value`, optional ones shown in
-brackets with their defaults, which live in the `Squeezer`, `Homodyne`
-and `HomodyneConfig` field defaults):
+brackets with their defaults, which live in the `Squeezer` and `Homodyne`
+field defaults only):
 
     # sqzsim netlist v1
     modes: sig lo
@@ -52,7 +52,7 @@ from .gaussian import (
     phaseshift_channel,
     squeezer_channel,
 )
-from .homodyne import HomodyneConfig, phase_grid
+from .homodyne import phase_grid
 
 VERSION_HEADER = "# sqzsim netlist v1"
 MAX_SWEEP_POINTS = 100_000
@@ -113,16 +113,11 @@ class Homodyne:
     eta_e: float
     ratio: float
     sweep: tuple
-    visibility: float = HomodyneConfig.visibility
-    rbw: float = HomodyneConfig.rbw
-    vbw: float = HomodyneConfig.vbw
+    visibility: float = 1.0
+    rbw: float = 1.0e5
+    vbw: float = 30.0
     center_freq: float = 2.0e6
     sweep_time: float = 1.0
-
-    def config(self):
-        """The detection settings the simulation reads; the metadata stays here."""
-        return HomodyneConfig(eta_pd=self.eta_pd, eta_e=self.eta_e, coupler_ratio=self.ratio,
-                              visibility=self.visibility, rbw=self.rbw, vbw=self.vbw)
 
 
 @dataclass(frozen=True)
@@ -136,11 +131,10 @@ class CircuitSpec:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementPlan:
-    """Where and how to measure: mode index, LO phases, detection config."""
+    """Where to measure: mode index and LO phases."""
 
     mode: int
     phases: np.ndarray
-    config: HomodyneConfig
 
 
 def _err(kind, line, col, message):
@@ -387,4 +381,4 @@ def compile_spec(spec):
     index = {name: i for i, name in enumerate(spec.modes)}
     channels = [_element_row(st).channel(n, index, st) for st in spec.statements]
     m = spec.measurement
-    return channels, MeasurementPlan(mode=index[m.mode], phases=phase_grid(*m.sweep), config=m.config())
+    return channels, MeasurementPlan(mode=index[m.mode], phases=phase_grid(*m.sweep))

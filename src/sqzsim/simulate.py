@@ -11,7 +11,7 @@ import numpy as np
 
 from .budget import build_report
 from .gaussian import vacuum
-from .homodyne import detection_factors, sweep, synthesize_trace
+from .homodyne import detection_factors, effective_efficiency, sweep, synthesize_trace
 from .netlist import Loss, compile_spec
 
 
@@ -46,7 +46,7 @@ def budget_factors(spec):
     entries = [(st.label if st.label is not None else "anonymous", st.eta)
                for st in spec.statements if isinstance(st, Loss) and st.mode == m.mode]
     table = {}
-    for base, eta in [*entries, *detection_factors(m.config()).items()]:
+    for base, eta in [*entries, *detection_factors(m).items()]:
         name, k = base, 2
         while name in table:
             name, k = f"{base}_{k}", k + 1
@@ -58,17 +58,21 @@ def run_spec(spec, noiseless=True, seed=None):
     """Simulate a parsed netlist; returns (trace, report).
 
     The returned trace is noisy when `noiseless` is false, in which case a
-    seed is required for reproducibility. A model trace that is not finite
-    (squeezing beyond double precision) is rejected by `build_report`.
+    seed is required for reproducibility. Detection reads the measurement's
+    efficiency eta and, for a noisy trace, its M = rbw/vbw. A model trace
+    that is not finite (squeezing beyond double precision) is rejected by
+    `build_report`.
     """
+    m = spec.measurement
+    eta = effective_efficiency(m)
     state, plan = _propagate(spec)
-    model = sweep(state, plan.mode, plan.config, plan.phases)
+    model = sweep(state, plan.mode, eta, plan.phases)
     if noiseless:
         trace = model
         unc_db = 0.0
     else:
-        trace = synthesize_trace(model, seed)
-        m_samples = plan.config.rbw / plan.config.vbw
+        m_samples = m.rbw / m.vbw if m.vbw > 0.0 else math.inf   # synthesize_trace rejects inf
+        trace = synthesize_trace(model, m_samples, seed)
         unc_db = math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
     report = build_report(float(model.variance_db.min()), float(model.variance_db.max()),
                           unc_db, factors=budget_factors(spec))

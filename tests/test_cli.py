@@ -149,7 +149,7 @@ def test_simulate_rejects_non_finite_model_trace(chip_file, tmp_path, capsys, mo
         trace = real_sweep(*args)
         db = trace.variance_db.copy()
         db[3] = np.nan
-        return HomodyneTrace(trace.phases, db, trace.config)
+        return HomodyneTrace(trace.phases, db)
 
     monkeypatch.setattr(sqzsim.simulate, "sweep", sweep_with_nan)
     csv = tmp_path / "t.csv"
@@ -214,6 +214,8 @@ _ANALYZE_REJECTIONS = {
     ("-2", "inf", "0.05"): "raw_asq_db inf is not finite",
     ("-2", "2.8", "nan"): "unc_db must be finite",
     ("-2", "2.8", "-1"): "unc_db must be finite and >= 0",
+    # a finite unc_db whose propagated uncertainty overflows would print as Infinity
+    ("-2", "2.8", "1e308"): "inferred_sq_unc_db inf is not finite",
 }
 
 
@@ -260,6 +262,31 @@ def test_calibrate_values(capsys):
     assert main(["calibrate", "--n-chip", "1.0"]) == 0
     assert float(capsys.readouterr().out.split()[1]) == 1.0
     assert main(["calibrate"]) == 2
+
+
+# scalar subcommand arguments -> what the one error line names; each printed
+# nan, -inf or a traceback before
+_SCALAR_REJECTIONS = {
+    ("extrapolate", "--gain", "nan", "--pump-mw", "40"): "pump power and gain must be finite",
+    ("extrapolate", "--gain", "inf", "--pump-mw", "0"): "pump power and gain must be finite",
+    ("extrapolate", "--gain", "1", "--pump-mw", "1e6"): "underflows to 0",
+    ("calibrate", "--snr-db", "nan"): "SNR nan dB has no finite linear value",
+    ("calibrate", "--snr-db", "inf"): "SNR inf dB has no finite linear value",
+    ("calibrate", "--snr-db", "4000"): "SNR 4000.0 dB has no finite linear value",
+    ("calibrate", "--n-chip", "nan"): "refractive indices must be positive and finite",
+    ("calibrate", "--n-chip", "inf"): "refractive indices must be positive and finite",
+}
+
+
+@pytest.mark.parametrize("argv", list(_SCALAR_REJECTIONS))
+def test_scalar_commands_reject_non_finite_results(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy RuntimeWarning would fail here
+        assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert _SCALAR_REJECTIONS[argv] in captured.err
+    assert captured.out == ""
 
 
 def test_bad_arguments_exit_2():

@@ -1,5 +1,6 @@
 """Gaussian state and channel operations against closed forms and invariants."""
 
+import math
 import warnings
 
 import numpy as np
@@ -305,8 +306,21 @@ def test_squeezing_beyond_double_precision_is_rejected():
 
 
 @pytest.mark.parametrize("call", [lambda: apply_squeezer(vacuum(1), 0, 400.0),
-                                  lambda: squeezer_channel(1, 0, 800.0)],
-                         ids=["apply-e800", "channel-e800"])
+                                  lambda: squeezer_channel(1, 0, 800.0),
+                                  # (excess - 1) e^2r overflows just past r = ln(max double)/2
+                                  lambda: squeezer_channel(1, 0, 354.9, 0.0, 1.5),
+                                  lambda: squeezer_channel(1, 0, 709.8, 0.3),
+                                  lambda: squeezer_channel(1, 0, math.nan),
+                                  lambda: squeezer_channel(1, 0, math.inf),
+                                  lambda: squeezer_channel(1, 0, 0.5, math.nan),
+                                  lambda: squeezer_channel(1, 0, 0.5, math.inf),
+                                  lambda: squeezer_channel(1, 0, 0.5, 0.0, math.nan),
+                                  lambda: squeezer_channel(1, 0, 0.5, 0.0, math.inf),
+                                  lambda: phaseshift_channel(1, 0, math.inf),
+                                  lambda: phaseshift_channel(1, 0, math.nan)],
+                         ids=["apply-e800", "channel-e800", "excess-e2r", "rotated-e709.8",
+                              "r-nan", "r-inf", "phase-nan", "phase-inf", "excess-nan",
+                              "excess-inf", "theta-inf", "theta-nan"])
 def test_direct_overflowing_squeezer_raises_only_value_error(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # a numpy overflow warning would fail here

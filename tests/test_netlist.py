@@ -215,7 +215,7 @@ def test_compile_shipped_netlist_plan():
     spec = parse(data_path("paper_chip.nl").read_text())
     channels, plan = compile_spec(spec)
     assert len(channels) == 3  # squeezer (with excess noise), fresnel, filter
-    assert effective_efficiency(plan.config) == pytest.approx(0.8338176, rel=1e-12)
+    assert effective_efficiency(spec.measurement) == pytest.approx(0.8338176, rel=1e-12)
     assert plan.phases.size == 720
     assert plan.phases[0] == 0.0
     assert plan.phases[180] == pytest.approx(np.pi / 2, rel=1e-12)

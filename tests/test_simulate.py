@@ -72,6 +72,21 @@ def test_eta_total_is_the_budget_product_in_any_loss_order(losses, ratio, visibi
     assert report_for(data.draw(st.permutations(losses))).eta_total == report.eta_total
 
 
+
+@pytest.mark.parametrize("fields,noiseless,message", [
+    ({"eta_pd": 1.5}, True, "eta_pd must lie in"),
+    ({"visibility": -0.5}, True, "visibility must lie in"),
+    ({"ratio": 1.5}, True, "ratio must lie in"),
+    ({"rbw": 10.0, "vbw": 30.0}, False, "rbw/vbw"),
+])
+def test_hand_built_homodyne_out_of_range_is_rejected(fields, noiseless, message):
+    # a CircuitSpec built without the parser still has its detection chain checked
+    measurement = Homodyne(**{"mode": "sig", "eta_pd": 0.88, "eta_e": 0.95, "ratio": 0.5,
+                              "sweep": (0.0, 3.14, 8), **fields})
+    spec = CircuitSpec(("sig",), (Squeezer(mode="sig", r=0.5),), measurement)
+    with pytest.raises(ValueError, match=message):
+        run_spec(spec, noiseless=noiseless, seed=None if noiseless else 1)
+
 def _chip(n_modes, seed):
     """Seeded chip: a squeezer on every mode, then 3N random couplers, losses and phase shifts."""
     rng = np.random.default_rng(seed)
