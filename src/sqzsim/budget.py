@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .conversions import from_db, to_db
+from .conversions import check_unit, detected, from_db, to_db
 
 
 class InfeasibleMeasurementError(ValueError):
@@ -32,9 +32,7 @@ class EfficiencyBudget:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{field.name} must lie in [0, 1], got {value}")
+            check_unit(field.name, getattr(self, field.name))
 
     def factors(self):
         """Name -> efficiency table: the four chain factors, then any optional one not 1."""
@@ -83,9 +81,7 @@ def total_efficiency(factors):
 
 def forward_measured(v_gen_db, eta):
     """Variance seen after a loss channel of efficiency eta, in dB."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    return to_db(eta * from_db(v_gen_db) + (1.0 - eta))
+    return to_db(detected(from_db(v_gen_db), eta))
 
 
 def infer_generated(v_meas_db, eta):
@@ -108,13 +104,17 @@ def infer_generated(v_meas_db, eta):
 def purity_product(sq_db, asq_db):
     """Product of the two linear variances; exactly 1 for a minimum-uncertainty pair.
 
-    Raises OverflowError, naming both inputs, when the product is not a finite double.
+    Raises OverflowError, naming both inputs, when the product is not a finite
+    double, and ValueError when it underflows to 0, which has no dB value.
     """
     try:
-        return math.pow(10.0, (sq_db + asq_db) / 10.0)
+        product = math.pow(10.0, (sq_db + asq_db) / 10.0)
     except OverflowError:
         raise OverflowError(f"purity product of inferred sq/asq {sq_db!r}/{asq_db!r} dB "
                             f"overflows a double") from None
+    if product == 0.0:
+        raise ValueError(f"purity product of inferred sq/asq {sq_db!r}/{asq_db!r} dB underflows to 0")
+    return product
 
 
 def pump_to_r(pump_mw, gain):
@@ -129,10 +129,9 @@ def extrapolate_squeezing(gain, pump_mw, eta_eff=1.0):
 
     Raises ValueError when the linear variance underflows to 0, which has no dB value.
     """
-    if not 0.0 <= eta_eff <= 1.0:
-        raise ValueError("eta_eff must lie in [0, 1]")
+    check_unit("eta_eff", eta_eff)
     r = pump_to_r(pump_mw, gain)
-    variance = eta_eff * math.exp(-2.0 * r) + (1.0 - eta_eff)
+    variance = detected(math.exp(-2.0 * r), eta_eff)
     if variance == 0.0:
         raise ValueError(f"squeezed variance at r={r!r} underflows to 0, which has no dB value")
     return to_db(variance)

@@ -81,10 +81,12 @@ def cmd_extrapolate(args):
 def cmd_calibrate(args):
     if args.snr_db is None and args.n_chip is None:
         raise ValueError("give --snr-db and/or --n-chip")
+    lines = []   # every value is computed before any is printed
     if args.snr_db is not None:
-        print(f"eta_e {electronic_efficiency(args.snr_db)!r}")
+        lines.append(f"eta_e {electronic_efficiency(args.snr_db)!r}")
     if args.n_chip is not None:
-        print(f"eta_fresnel {fresnel_efficiency(args.n_air, args.n_chip)!r}")
+        lines.append(f"eta_fresnel {fresnel_efficiency(args.n_air, args.n_chip)!r}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
-"""Decibel helpers shared across the package.
+"""The rules every layer shares: the [0, 1] efficiency check, the loss model and dB.
 
-All variances are normalised to the vacuum (shot-noise) level, so
-10*log10(V) is directly the dB value plotted on a squeezing trace.
+All variances are normalised to the vacuum (shot-noise) level: 10*log10(V) is
+the dB value on a squeezing trace, and efficiency eta takes V to eta*V + (1 - eta).
 Scalars come back as plain floats, arrays as arrays.
 """
 
@@ -12,6 +12,18 @@ def _as_scalar_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def check_unit(name, value):
+    """Raise ValueError unless `value` lies in [0, 1]; NaN fails too."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def detected(v, eta):
+    """Variance `v` (a scalar or an array) seen through a loss of efficiency eta in [0, 1]."""
+    check_unit("eta", eta)
+    return eta * v + (1.0 - eta)
+
+
 def to_db(variance):
     """Convert a shot-noise-normalised variance to dB."""
     return _as_scalar_or_array(10.0 * np.log10(variance))
@@ -20,4 +32,3 @@ def to_db(variance):
 def from_db(db):
     """Convert a dB value back to a linear, shot-noise-normalised variance."""
     return _as_scalar_or_array(10.0 ** (np.asarray(db, dtype=float) / 10.0))
-

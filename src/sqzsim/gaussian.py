@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conversions import _as_scalar_or_array
+from .conversions import _as_scalar_or_array, check_unit
 
 SYMMETRY_RTOL = 1e-12    # relative symmetry tolerance for covariance input
 UNCERTAINTY_TOL = -1e-9  # lower bound for eigenvalues of cov + i*Omega
@@ -38,15 +38,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        self._normalise(self.mean, self.cov)
-        test = self.cov + 1j * symplectic_form(self.n_modes)
-        if float(np.linalg.eigvalsh(test).min()) < UNCERTAINTY_TOL:
-            raise ValueError("covariance matrix violates the uncertainty relation")
-
-    def _normalise(self, mean, cov):
-        """Store read-only float arrays after the shape, finiteness and symmetry checks."""
-        mean = np.array(mean, dtype=float)
-        cov = np.array(cov, dtype=float)
+        mean = np.array(self.mean, dtype=float)
+        cov = np.array(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size == 0 or mean.size % 2:
             raise ValueError("mean must be a vector of length 2*n_modes")
         if cov.shape != (mean.size, mean.size):
@@ -54,6 +47,9 @@ class GaussianState:
         if not np.isfinite(mean).all() or not np.isfinite(cov).all():
             raise ValueError("state contains non-finite values")
         self._store(mean, _symmetrised(cov, "covariance matrix is not symmetric"))
+        test = self.cov + 1j * symplectic_form(self.n_modes)
+        if float(np.linalg.eigvalsh(test).min()) < UNCERTAINTY_TOL:
+            raise ValueError("covariance matrix violates the uncertainty relation")
 
     def _store(self, mean, cov):
         mean.setflags(write=False)
@@ -82,15 +78,8 @@ class GaussianChannel:
     n_modes: int = field(init=False)
 
     def __post_init__(self):
-        self._normalise(self.X, self.Y)
-        omega = symplectic_form(self.n_modes)
-        test = self.Y + 1j * (omega - self.X @ omega @ self.X.T)
-        if float(np.linalg.eigvalsh(test).min()) < CP_TOL:
-            raise ValueError("channel is not completely positive")
-
-    def _normalise(self, X, Y):
-        X = np.array(X, dtype=float)
-        Y = np.array(Y, dtype=float)
+        X = np.array(self.X, dtype=float)
+        Y = np.array(self.Y, dtype=float)
         if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] % 2:
             raise ValueError("X must be a square 2N x 2N matrix")
         if Y.shape != X.shape:
@@ -100,6 +89,10 @@ class GaussianChannel:
         Y = _symmetrised(Y, "Y must be symmetric")
         n_modes = X.shape[0] // 2
         self._place(X, Y, n_modes, tuple(range(n_modes)))
+        omega = symplectic_form(self.n_modes)
+        test = self.Y + 1j * (omega - self.X @ omega @ self.X.T)
+        if float(np.linalg.eigvalsh(test).min()) < CP_TOL:
+            raise ValueError("channel is not completely positive")
 
     def _place(self, X, Y, n_modes, modes):
         """Store the read-only blocks, their modes and the row indices `apply` rewrites."""
@@ -133,9 +126,7 @@ class GaussianChannel:
         mean[rows] = new_mean
         cov[rows] = new_rows
         cov[:, rows] = new_rows.T
-        out = object.__new__(GaussianState)
-        out._store(mean, cov)
-        return out
+        return _unchecked_state(mean, cov)
 
 
 def _symmetrised(matrix, message):
@@ -145,15 +136,11 @@ def _symmetrised(matrix, message):
     return 0.5 * (matrix + matrix.T)
 
 
-def _trusted(cls, first, second):
-    """`cls(first, second)` for a GaussianState or GaussianChannel, minus the eigenvalue check.
-
-    Only for the package's own products that are physical by construction,
-    such as the vacuum.
-    """
-    obj = object.__new__(cls)
-    obj._normalise(first, second)
-    return obj
+def _unchecked_state(mean, cov):
+    """Frozen, unchecked GaussianState: for the vacuum and `apply`'s output, physical by construction."""
+    state = object.__new__(GaussianState)
+    state._store(mean, cov)
+    return state
 
 
 def _element(X, Y, n_modes, modes):
@@ -171,32 +158,24 @@ def vacuum(n_modes):
     """N-mode vacuum: zero mean, identity covariance."""
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    return _trusted(GaussianState, np.zeros(2 * n_modes), np.eye(2 * n_modes))
+    return _unchecked_state(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
-def _check_mode(state_or_n, mode):
-    n = state_or_n if isinstance(state_or_n, (int, np.integer)) else state_or_n.n_modes
-    if not isinstance(mode, (int, np.integer)) or not 0 <= mode < n:
-        raise ValueError(f"mode index {mode} out of range for {n} modes")
-
-
-def rotation_matrix(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _check_mode(n_modes, mode):
+    if not isinstance(mode, (int, np.integer)) or not 0 <= mode < n_modes:
+        raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
 
 
 def squeeze_symplectic(r, phase=0.0):
     """Single-mode squeezer, diag(e^-r, e^+r) with its axis rotated by `phase`."""
-    core = np.diag([np.exp(-r), np.exp(r)])
-    if phase == 0.0:
-        return core
-    rot = rotation_matrix(phase)
-    return rot @ core @ rot.T
+    rot = phaseshift_symplectic(phase)
+    return rot @ np.diag([np.exp(-r), np.exp(r)]) @ rot.T
 
 
 def phaseshift_symplectic(theta):
     """Single-mode quadrature rotation."""
-    return rotation_matrix(theta)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
 
 
 def coupler_symplectic(ratio):
@@ -253,7 +232,7 @@ def quadrature_variance(state, mode, theta):
     a*c^2 + 2b*c*s + d*s^2 with c, s = cos(theta), sin(theta). A scalar
     theta gives a float, an array of phases an array.
     """
-    _check_mode(state, mode)
+    _check_mode(state.n_modes, mode)
     (a, b), (_, d) = state.cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2]
     c, s = np.cos(theta), np.sin(theta)
     return _as_scalar_or_array(a * c * c + 2.0 * b * c * s + d * s * s)
@@ -274,7 +253,7 @@ def reduce_modes(state, modes):
     if len(set(modes)) != len(modes) or not modes:
         raise ValueError("modes must be a non-empty list of distinct indices")
     for m in modes:
-        _check_mode(state, m)
+        _check_mode(state.n_modes, m)
     idx = np.array([i for m in modes for i in (2 * m, 2 * m + 1)])
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
@@ -319,13 +298,11 @@ def coupler_channel(n_modes, mode_a, mode_b, ratio):
     _check_mode(n_modes, mode_b)
     if mode_a == mode_b:
         raise ValueError("coupler requires two distinct modes")
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("splitting ratio must lie in [0, 1]")
+    check_unit("ratio", ratio)
     return _element(coupler_symplectic(ratio), np.zeros((4, 4)), n_modes, (mode_a, mode_b))
 
 
 def loss_channel(n_modes, mode, eta):
     _check_mode(n_modes, mode)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("efficiency eta must lie in [0, 1]")
+    check_unit("eta", eta)
     return _element(np.sqrt(eta) * np.eye(2), (1.0 - eta) * np.eye(2), n_modes, (mode,))

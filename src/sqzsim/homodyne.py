@@ -8,13 +8,12 @@ dB, optionally dressed with the finite RBW/VBW estimator scatter, which
 depends only on M = rbw/vbw.
 """
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conversions import from_db, to_db
+from .conversions import check_unit, detected, from_db, to_db
 from .gaussian import quadrature_variance
 
 
@@ -44,9 +43,7 @@ def detection_factors(homodyne):
     hand-built statement has not been checked for.
     """
     for name in ("eta_pd", "eta_e", "ratio", "visibility"):
-        value = getattr(homodyne, name)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        check_unit(name, getattr(homodyne, name))
     table = {}
     imbalance = 4.0 * homodyne.ratio * (1.0 - homodyne.ratio)
     if imbalance != 1.0:
@@ -69,9 +66,7 @@ def measure_variance(state, mode, theta, eta):
     `theta` is a scalar (gives a float) or an array of LO phases; eta must
     lie in [0, 1].
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"detection efficiency eta must lie in [0, 1], got {eta!r}")
-    return eta * quadrature_variance(state, mode, theta) + (1.0 - eta)
+    return detected(quadrature_variance(state, mode, theta), eta)
 
 
 def phase_grid(a, b, n):
@@ -106,15 +101,13 @@ def synthesize_trace(trace, m_samples, seed):
 
 
 def write_trace_csv(trace, target):
-    """Write `phase_rad,variance_db` CSV rows (LF endings, `.` decimal point)."""
+    """Write `phase_rad,variance_db` CSV rows (LF endings, `.` decimal point) to a path or text stream."""
     text = "phase_rad,variance_db\n" + "".join(
         f"{p!r},{v!r}\n" for p, v in zip(trace.phases.tolist(), trace.variance_db.tolist())
     )
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    elif isinstance(target, io.TextIOBase):
+    if hasattr(target, "write"):
         target.write(text)
     else:
-        target.write(text.encode("utf-8"))
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     return text

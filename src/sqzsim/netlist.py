@@ -46,6 +46,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
+from .budget import pump_to_r
 from .gaussian import (
     coupler_channel,
     loss_channel,
@@ -83,7 +84,7 @@ class Squeezer:
     excess: float = 1.0
 
     def effective_r(self):
-        return self.r if self.r is not None else self.gain * math.sqrt(self.pump_mw)
+        return self.r if self.r is not None else pump_to_r(self.pump_mw, self.gain)
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,8 @@ class MeasurementPlan:
 
 
 def _err(kind, line, col, message):
+    if line is None:   # a hand-built statement, which has no position
+        raise ValueError(message)
     raise NetlistParseError(kind, line, col, message)
 
 
@@ -215,12 +218,12 @@ _KEYS = {
 
 def _one_squeezing_source(st, cols, line):
     if st.r is not None and (st.pump_mw is not None or st.gain is not None):
-        _err("unknown-keyword", line, cols["r"], "give either r or pump_mw with gain, not both")
+        _err("unknown-keyword", line, cols.get("r"), "give either r or pump_mw with gain, not both")
 
 
 def _distinct_modes(st, cols, line):
     if st.mode_a == st.mode_b:
-        _err("out-of-range", line, cols["mode_b"], "coupler requires two distinct modes")
+        _err("out-of-range", line, cols.get("mode_b"), "coupler requires two distinct modes")
 
 
 def _bandwidths(st, cols, line):
@@ -294,12 +297,17 @@ def _statement(row, tokens, line, declared):
         _err("unknown-keyword", line, head_col,
              f"{head} is missing required parameter(s) {', '.join(missing)}")
     statement = row.cls(**values)
-    if row.check is not None:
-        row.check(statement, cols, line)
-    for name in row.mode_fields:
-        if values[name] not in declared:
-            _err("undeclared-mode", line, cols[name], f"mode '{values[name]}' is not declared")
+    _after_values(row, statement, row.check, declared, cols, line)
     return statement
+
+
+def _after_values(row, st, check, declared, cols, line):
+    """The checks on a statement once its values are read: `check`, then its modes' declarations."""
+    if check is not None:
+        check(st, cols, line)
+    for name in row.mode_fields:
+        if getattr(st, name) not in declared:
+            _err("undeclared-mode", line, cols.get(name), f"mode '{getattr(st, name)}' is not declared")
 
 
 def parse(source):
@@ -350,11 +358,19 @@ def parse(source):
     return CircuitSpec(modes=tuple(declared), statements=tuple(statements), measurement=measurement)
 
 
-def _element_row(statement):
-    row = _ELEMENTS.get(type(statement))
-    if row is None:
-        raise TypeError(f"unknown statement type {type(statement).__name__}")
-    return row
+def _element_rows(spec):
+    """The statements' rows; a hand-built spec that `parse` would reject past its values raises ValueError.
+
+    The measurement's bandwidths are left to `run_spec`, which reads rbw/vbw only for a noisy trace.
+    """
+    rows = [_ELEMENTS.get(type(st)) for st in spec.statements]
+    declared = frozenset(spec.modes)
+    for row, st in zip(rows, spec.statements):
+        if row is None:
+            raise TypeError(f"unknown statement type {type(st).__name__}")
+        _after_values(row, st, row.check, declared, {}, None)
+    _after_values(_MEASUREMENT, spec.measurement, None, declared, {}, None)
+    return rows
 
 
 def _statement_text(row, st):
@@ -370,15 +386,16 @@ def _statement_text(row, st):
 def pretty_print(spec):
     """Canonical text for a CircuitSpec; parses back to an identical spec."""
     out = [VERSION_HEADER, "modes: " + " ".join(spec.modes)]
-    out += [_statement_text(_element_row(st), st) for st in spec.statements]
+    out += [_statement_text(row, st) for row, st in zip(_element_rows(spec), spec.statements)]
     out.append(_statement_text(_MEASUREMENT, spec.measurement))
     return "\n".join(out) + "\n"
 
 
 def compile_spec(spec):
     """Compile a CircuitSpec to an ordered GaussianChannel list and a MeasurementPlan."""
+    rows = _element_rows(spec)
     n = len(spec.modes)
     index = {name: i for i, name in enumerate(spec.modes)}
-    channels = [_element_row(st).channel(n, index, st) for st in spec.statements]
+    channels = [row.channel(n, index, st) for row, st in zip(rows, spec.statements)]
     m = spec.measurement
     return channels, MeasurementPlan(mode=index[m.mode], phases=phase_grid(*m.sweep))

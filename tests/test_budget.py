@@ -61,8 +61,10 @@ def test_total_efficiency_exactly_order_invariant():
 
 
 def test_budget_validation_and_optional_factors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"eta_fresnel must lie in \[0, 1\], got 1.2"):
         EfficiencyBudget(1.2, 0.9, 0.9, 0.9)
+    with pytest.raises(ValueError, match=r"eta_e must lie in \[0, 1\], got nan"):
+        EfficiencyBudget(0.86, 0.99, 0.88, math.nan)
     budget = EfficiencyBudget(0.86, 0.99, 0.88, 0.95, eta_prop=0.98)
     assert budget.factors() == {
         "fresnel": 0.86, "filter": 0.99, "photodiode": 0.88,

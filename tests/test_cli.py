@@ -203,29 +203,31 @@ def test_analyze_infeasible_input(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-# (sq_db, asq_db, unc_db) -> what the error names
+# (sq_db, asq_db, unc_db, eta) -> what the error names
 _ANALYZE_REJECTIONS = {
     # the purity product overflows a float
-    ("1700", "1800", "0.05"): "purity product of inferred sq/asq 1701.549",
+    ("1700", "1800", "0.05", "0.7"): "purity product of inferred sq/asq 1701.549",
+    # the purity product underflows to 0, whose dB would print as -Infinity
+    ("-3000", "-3000", "0.05", "1"): "purity product of inferred sq/asq -3000.0/-3000.0 dB underflows",
     # the linear variance overflows and cannot round-trip
-    ("3100", "3100", "0.05"): "raw_sq_db 3100.0 dB has no finite linear variance",
+    ("3100", "3100", "0.05", "0.7"): "raw_sq_db 3100.0 dB has no finite linear variance",
     # non-finite inputs would print as invalid JSON
-    ("nan", "2.8", "0.05"): "raw_sq_db nan is not finite",
-    ("-2", "inf", "0.05"): "raw_asq_db inf is not finite",
-    ("-2", "2.8", "nan"): "unc_db must be finite",
-    ("-2", "2.8", "-1"): "unc_db must be finite and >= 0",
+    ("nan", "2.8", "0.05", "0.7"): "raw_sq_db nan is not finite",
+    ("-2", "inf", "0.05", "0.7"): "raw_asq_db inf is not finite",
+    ("-2", "2.8", "nan", "0.7"): "unc_db must be finite",
+    ("-2", "2.8", "-1", "0.7"): "unc_db must be finite and >= 0",
     # a finite unc_db whose propagated uncertainty overflows would print as Infinity
-    ("-2", "2.8", "1e308"): "inferred_sq_unc_db inf is not finite",
+    ("-2", "2.8", "1e308", "0.7"): "inferred_sq_unc_db inf is not finite",
 }
 
 
-@pytest.mark.parametrize("sq_db,asq_db,unc_db", list(_ANALYZE_REJECTIONS))
-def test_analyze_out_of_range_values_exit_2(sq_db, asq_db, unc_db, capsys):
+@pytest.mark.parametrize("sq_db,asq_db,unc_db,eta", list(_ANALYZE_REJECTIONS))
+def test_analyze_out_of_range_values_exit_2(sq_db, asq_db, unc_db, eta, capsys):
     assert main(["analyze", "--sq-db", sq_db, "--asq-db", asq_db, "--unc-db", unc_db,
-                 "--eta", "0.7"]) == 2
+                 "--eta", eta]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-    assert _ANALYZE_REJECTIONS[sq_db, asq_db, unc_db] in captured.err
+    assert _ANALYZE_REJECTIONS[sq_db, asq_db, unc_db, eta] in captured.err
     assert captured.out == ""
 
 
@@ -275,6 +277,11 @@ _SCALAR_REJECTIONS = {
     ("calibrate", "--snr-db", "4000"): "SNR 4000.0 dB has no finite linear value",
     ("calibrate", "--n-chip", "nan"): "refractive indices must be positive and finite",
     ("calibrate", "--n-chip", "inf"): "refractive indices must be positive and finite",
+    # the one [0, 1] wording, naming the flag's parameter
+    ("extrapolate", "--gain", "0.058", "--pump-mw", "40", "--eta-eff", "2"):
+        "eta_eff must lie in [0, 1], got 2.0",
+    # the eta_e line was printed before the bad index failed
+    ("calibrate", "--snr-db", "12.8", "--n-chip", "nan"): "refractive indices must be positive",
 }
 
 

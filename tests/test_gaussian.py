@@ -154,8 +154,10 @@ def test_coupler_keeps_two_vacua_invariant():
 def test_coupler_rejects_bad_arguments():
     with pytest.raises(ValueError):
         apply_coupler(vacuum(2), 0, 0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ratio must lie in \[0, 1\], got 1.2"):
         apply_coupler(vacuum(2), 0, 1, 1.2)
+    with pytest.raises(ValueError, match=r"ratio must lie in \[0, 1\], got nan"):
+        apply_coupler(vacuum(2), 0, 1, math.nan)
     with pytest.raises(ValueError):
         apply_coupler(vacuum(2), 0, 2, 0.5)
 
@@ -185,10 +187,9 @@ def test_loss_scales_mean_by_sqrt_eta():
 
 
 def test_loss_rejects_bad_eta():
-    with pytest.raises(ValueError):
-        apply_loss(vacuum(1), 0, -0.01)
-    with pytest.raises(ValueError):
-        apply_loss(vacuum(1), 0, 1.01)
+    for eta in (-0.01, 1.01, math.nan):
+        with pytest.raises(ValueError, match=rf"eta must lie in \[0, 1\], got {eta}"):
+            apply_loss(vacuum(1), 0, eta)
 
 
 def test_loss_equals_coupler_with_traced_ancilla():

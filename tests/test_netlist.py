@@ -9,6 +9,7 @@ from conftest import random_circuit_spec, random_fuzz_text
 from sqzsim import (
     CircuitSpec,
     Coupler,
+    Homodyne,
     Loss,
     NetlistParseError,
     Squeezer,
@@ -22,6 +23,7 @@ from sqzsim import (
     parse,
     pretty_print,
     quadrature_variance,
+    run_spec,
     vacuum,
 )
 from sqzsim.netlist import MAX_SWEEP_POINTS
@@ -193,6 +195,26 @@ def test_non_element_statement_is_a_type_error(stranger):
         pretty_print(spec)
     with pytest.raises(TypeError, match=f"unknown statement type {name}"):
         compile_spec(spec)
+
+
+def _homodyne(mode):
+    return Homodyne(mode=mode, eta_pd=0.88, eta_e=0.95, ratio=0.5, sweep=(0.0, 3.14, 8))
+
+
+@pytest.mark.parametrize("text,spec", [
+    ("squeezer sig r=0.5 pump_mw=4.0 gain=0.1\nhomodyne sig",
+     CircuitSpec(("sig",), (Squeezer(mode="sig", r=0.5, pump_mw=4.0, gain=0.1),), _homodyne("sig"))),
+    ("loss x eta=0.9\nhomodyne sig", CircuitSpec(("sig",), (Loss(mode="x", eta=0.9),), _homodyne("sig"))),
+    ("homodyne x", CircuitSpec(("sig",), (), _homodyne("x"))),
+], ids=["r-and-pump", "undeclared-element-mode", "undeclared-measured-mode"])
+def test_hand_built_spec_is_rejected_in_the_parser_words(text, spec):
+    # what parse rejects once a statement's values are read, a spec built without it cannot pass
+    with pytest.raises(NetlistParseError) as parsed:
+        parse(f"modes: sig\n{text} eta_pd=0.88 eta_e=0.95 ratio=0.5 sweep=0:3.14:8\n")
+    for call in (compile_spec, run_spec, pretty_print):
+        with pytest.raises(ValueError) as raised:
+            call(spec)
+        assert str(raised.value) == parsed.value.message
 
 
 def test_compile_measurement_only_is_identity():
