@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversions import check_unit, detected, from_db, to_db
+from .conversions import detected, from_db, to_db
 from .gaussian import quadrature_variance
 
 
@@ -39,11 +39,7 @@ def detection_factors(homodyne):
     """Name -> efficiency table of a `Homodyne` statement's chain, in multiplication order.
 
     The imbalance 4R(1-R) and mode-matching v^2 terms appear only when not 1.
-    `eta_pd`, `eta_e`, `ratio` and `visibility` must lie in [0, 1], which a
-    hand-built statement has not been checked for.
     """
-    for name in ("eta_pd", "eta_e", "ratio", "visibility"):
-        check_unit(name, getattr(homodyne, name))
     table = {}
     imbalance = 4.0 * homodyne.ratio * (1.0 - homodyne.ratio)
     if imbalance != 1.0:

@@ -17,19 +17,21 @@ field defaults only):
 
 Mode names are lowercase identifiers and must be declared on a `modes:`
 line before use. `sweep=a:b:n` means n equally spaced local-oscillator
-phases from a (inclusive) to b (exclusive), with a != b and
-2 <= n <= MAX_SWEEP_POINTS (100000). A squeezer is given either an
-explicit `r` or a pump power with a single-pass gain (r = gain*sqrt(pump));
-`excess` multiplies the antisqueezed variance produced from vacuum, with
-1.0 the pure minimum-uncertainty squeezer. `center_freq` (Hz) and
-`sweep_time` (s) are analyser metadata: they must be > 0 and round-trip
-through `pretty_print`, but no computation reads them. Exactly one
-homodyne statement is required and nothing may follow it.
+phases from a (inclusive) to b (exclusive), with a != b, 2 <= n <=
+MAX_SWEEP_POINTS (100000), a finite b - a and a step |b - a|/n above 2 ulp
+of the larger bound, so that the phases are distinct and in order. A
+squeezer is given either an explicit `r` or a pump power with a single-pass
+gain (r = gain*sqrt(pump)); `excess` multiplies the antisqueezed variance
+produced from vacuum, with 1.0 the pure minimum-uncertainty squeezer.
+`center_freq` (Hz) and `sweep_time` (s) are analyser metadata: they must be
+> 0 and round-trip through `pretty_print`, but no computation reads them.
+Exactly one homodyne statement is required and nothing may follow it.
 
-Each statement kind is one `_ROWS` row (keyword, mode fields, keys in
-print order, required keys, dataclass, cross-field check, channel builder)
-read by `parse`, `pretty_print` and `compile_spec`; `_KEYS` holds each
-key's value rule once. A new element is one row plus its dataclass.
+Each statement kind is one `_ROWS` row (keyword, dataclass, cross-field
+check, channel builder) read by `parse`, `pretty_print` and `compile_spec`;
+`_KEYS` holds each key's value rule once. A new element is one row plus its
+dataclass. The statement dataclasses and `CircuitSpec` check themselves on
+construction with the parser's rules, so any spec is one `parse` accepts.
 
 Errors carry a position and one of six kinds: unknown-keyword,
 undeclared-mode, bad-number, out-of-range, duplicate-measurement,
@@ -42,7 +44,9 @@ out-of-range. Parameter values are validated before mode references, so
 
 import math
 import re
-from dataclasses import MISSING, dataclass
+import sys
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -74,8 +78,35 @@ class NetlistParseError(Exception):
         super().__init__(f"line {line}, col {col}: {kind}: {message}")
 
 
+class _StatementError(ValueError):
+    """A check across a statement's fields failed; `parse` reports `kind` at the first of `fields` given."""
+
+    def __init__(self, kind, fields, message):
+        super().__init__(message)
+        self.kind, self.fields = kind, fields
+
+
+class _Statement:
+    """Base of the statement dataclasses: construction runs the checks `parse` makes on a statement.
+
+    Mode fields take a str and the others their `_KEYS` rule; then the row's check runs.
+    """
+
+    def __post_init__(self):
+        row = self._row
+        for name in row.mode_fields:
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name}={getattr(self, name)!r} is not a mode name")
+        for key, default, fault in row.params:
+            value = getattr(self, key)
+            if value is not default and (message := fault(key, value, None)) is not None:
+                raise ValueError(message)
+        if row.check is not None:
+            row.check(self)
+
+
 @dataclass(frozen=True)
-class Squeezer:
+class Squeezer(_Statement):
     mode: str
     r: float | None = None
     pump_mw: float | None = None
@@ -88,27 +119,27 @@ class Squeezer:
 
 
 @dataclass(frozen=True)
-class PhaseShift:
+class PhaseShift(_Statement):
     mode: str
     theta: float
 
 
 @dataclass(frozen=True)
-class Coupler:
+class Coupler(_Statement):
     mode_a: str
     mode_b: str
     ratio: float
 
 
 @dataclass(frozen=True)
-class Loss:
+class Loss(_Statement):
     mode: str
     eta: float
     label: str | None = None
 
 
 @dataclass(frozen=True)
-class Homodyne:
+class Homodyne(_Statement):
     mode: str
     eta_pd: float
     eta_e: float
@@ -123,11 +154,33 @@ class Homodyne:
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Parsed netlist: declared modes, component statements in order, one measurement."""
+    """Parsed netlist: declared modes, component statements in order, one measurement.
+
+    `modes` must be distinct identifiers naming every mode used (else ValueError),
+    `statements` a tuple of elements and `measurement` a `Homodyne` (else TypeError).
+    """
 
     modes: tuple
     statements: tuple
     measurement: Homodyne
+
+    def __post_init__(self):
+        modes = self.modes
+        if not (isinstance(modes, tuple) and modes
+                and all(isinstance(name, str) and _IDENT.match(name) for name in modes)
+                and len(set(modes)) == len(modes)):
+            raise ValueError(f"modes must be a non-empty tuple of distinct lowercase identifiers, "
+                             f"got {modes!r}")
+        if not isinstance(self.statements, tuple):
+            raise TypeError(f"statements must be a tuple, got {type(self.statements).__name__}")
+        declared = frozenset(modes)
+        for st in self.statements:
+            if not isinstance(st, _Statement) or isinstance(st, Homodyne):
+                raise TypeError(f"unknown statement type {type(st).__name__}")
+            _check_declared(st, declared)
+        if not isinstance(self.measurement, Homodyne):
+            raise TypeError(f"measurement must be a Homodyne, got {type(self.measurement).__name__}")
+        _check_declared(self.measurement, declared)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +192,6 @@ class MeasurementPlan:
 
 
 def _err(kind, line, col, message):
-    if line is None:   # a hand-built statement, which has no position
-        raise ValueError(message)
     raise NetlistParseError(kind, line, col, message)
 
 
@@ -151,24 +202,36 @@ def _tokenize(line):
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
+# a key's rule: `read(key, text, line, col)` checks a token's syntax, `fault(key, value,
+# text or None)` gives what is wrong with a value (a parse error of `kind`), `write` prints
+_Key = namedtuple("_Key", "read fault write kind", defaults=("out-of-range",))
+
+
+def _is_number(value):
+    """A finite int or float that a double holds exactly, so that it prints and parses back as itself."""
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max and float(value) == value
+
+
 def _number(holds, rule):
-    """Reader of a finite decimal number that must satisfy `holds`; `rule` words the out-of-range error."""
+    """Rule of a finite number that satisfies `holds`; `rule` words the out-of-range error."""
     def read(key, text, line, col):
         if not _NUMBER.match(text):
             _err("bad-number", line, col, f"'{text}' is not a number")
         value = float(text)
         if not math.isfinite(value):
             _err("bad-number", line, col, f"'{text}' is not finite")
-        if not holds(value):
-            _err("out-of-range", line, col, f"{key}={text} {rule}")
         return value
-    return read
+
+    def fault(key, value, text):
+        if not _is_number(value):
+            return f"{key}={value!r} is not a finite int or float that a double holds exactly"
+        return None if holds(value) else f"{key}={repr(value) if text is None else text} {rule}"
+    return _Key(read, fault, _fmt)
 
 
-def _read_label(key, text, line, col):
-    if not _IDENT.match(text):
-        _err("unknown-keyword", line, col, f"label '{text}' must be a lowercase identifier")
-    return text
+def _label_fault(key, value, text):
+    ok = isinstance(value, str) and _IDENT.match(value)
+    return None if ok else f"label '{value}' must be a lowercase identifier"
 
 
 def _read_sweep(key, text, line, col):
@@ -177,95 +240,116 @@ def _read_sweep(key, text, line, col):
         _err("bad-number", line, col, f"sweep '{text}' must have the form a:b:n")
     if not _NUMBER.match(parts[0]) or not _NUMBER.match(parts[1]):
         _err("bad-number", line, col, f"sweep bounds in '{text}' are not numbers")
-    if not math.isfinite(float(parts[0])) or not math.isfinite(float(parts[1])):
+    a, b = float(parts[0]), float(parts[1])
+    if not math.isfinite(a) or not math.isfinite(b):
         _err("bad-number", line, col, f"sweep bounds in '{text}' are not finite")
     if not _INT.match(parts[2]):
         _err("bad-number", line, col, f"sweep count in '{text}' is not an integer")
     digits = parts[2].lstrip("0") or "0"
-    # digit count first: int() refuses strings longer than 4300 digits
-    if len(digits) > len(str(MAX_SWEEP_POINTS)) or int(digits) > MAX_SWEEP_POINTS:
-        _err("out-of-range", line, col, f"sweep count in '{text}' exceeds {MAX_SWEEP_POINTS}")
-    n = int(digits)
-    if n < 2:
-        _err("out-of-range", line, col, f"sweep needs at least 2 points, got {n}")
-    a, b = float(parts[0]), float(parts[1])
-    if a == b:
-        _err("out-of-range", line, col, f"sweep '{text}' has equal bounds")
+    # int() refuses strings longer than 4300 digits; a count that long is over the cap anyway
+    n = int(digits) if len(digits) <= len(str(MAX_SWEEP_POINTS)) else MAX_SWEEP_POINTS + 1
     return (a, b, n)
+
+
+def _sweep_fault(key, value, text):
+    if not (isinstance(value, tuple) and len(value) == 3 and _is_number(value[0]) and _is_number(value[1])
+            and type(value[2]) is int):
+        return f"sweep {value!r} must be a tuple (a, b, n) of two finite numbers and an int"
+    a, b, n = float(value[0]), float(value[1]), value[2]
+
+    def shown():   # the value as an error message quotes it
+        return repr(value) if text is None else f"'{text}'"
+    if n > MAX_SWEEP_POINTS:
+        return f"sweep count in {shown()} exceeds {MAX_SWEEP_POINTS}"
+    if n < 2:
+        return f"sweep needs at least 2 points, got {n}"
+    if a == b:
+        return f"sweep {shown()} has equal bounds"
+    if not (math.isfinite(b - a) and abs(b - a) / n > 2.0 * math.ulp(max(abs(a), abs(b)))):
+        return f"sweep {shown()} needs a finite b - a and a step |b - a|/n above 2 ulp of its bounds"
+    return None
 
 
 def _fmt(value):
     return repr(float(value))
 
 
-_IN_0_1 = (_number(lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"), _fmt)
-_AT_LEAST_0 = (_number(lambda v: v >= 0.0, "must be >= 0"), _fmt)
-_ABOVE_0 = (_number(lambda v: v > 0.0, "must be > 0"), _fmt)
-_ANGLE = (_number(lambda v: True, ""), _fmt)
+_IN_0_1 = _number(lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
+_AT_LEAST_0 = _number(lambda v: v >= 0.0, "must be >= 0")
+_ABOVE_0 = _number(lambda v: v > 0.0, "must be > 0")
+_ANGLE = _number(lambda v: True, "")
 
-# key -> (reader: (key, text, line, col) -> value, writer: value -> text); the
-# one home of each key's range, shared by every statement that takes the key
+# the one home of each key's range, shared by every statement that takes the key
 _KEYS = {
     "r": _AT_LEAST_0, "pump_mw": _AT_LEAST_0, "gain": _AT_LEAST_0,
     "phase": _ANGLE, "theta": _ANGLE,
-    "excess": (_number(lambda v: v >= 1.0, "must be >= 1"), _fmt),
+    "excess": _number(lambda v: v >= 1.0, "must be >= 1"),
     "eta": _IN_0_1, "ratio": _IN_0_1, "eta_pd": _IN_0_1, "eta_e": _IN_0_1, "visibility": _IN_0_1,
     "rbw": _ABOVE_0, "vbw": _ABOVE_0, "center_freq": _ABOVE_0, "sweep_time": _ABOVE_0,
-    "label": (_read_label, str),
-    "sweep": (_read_sweep, lambda sweep: f"{_fmt(sweep[0])}:{_fmt(sweep[1])}:{sweep[2]}"),
+    "label": _Key(lambda key, text, line, col: text, _label_fault, str, "unknown-keyword"),
+    "sweep": _Key(_read_sweep, _sweep_fault, lambda sweep: f"{_fmt(sweep[0])}:{_fmt(sweep[1])}:{sweep[2]}"),
 }
 
 
-def _one_squeezing_source(st, cols, line):
-    if st.r is not None and (st.pump_mw is not None or st.gain is not None):
-        _err("unknown-keyword", line, cols.get("r"), "give either r or pump_mw with gain, not both")
+def _missing(keyword, keys):
+    message = f"{keyword} is missing required parameter(s) {', '.join(keys)}"
+    return _StatementError("unknown-keyword", (), message)
 
 
-def _distinct_modes(st, cols, line):
+def _one_squeezing_source(st):
+    if st.r is not None:
+        if st.pump_mw is not None or st.gain is not None:
+            raise _StatementError("unknown-keyword", ("r",), "give either r or pump_mw with gain, not both")
+    elif st.pump_mw is None or st.gain is None:
+        raise _missing("squeezer", [key for key in ("pump_mw", "gain") if getattr(st, key) is None])
+
+
+def _distinct_modes(st):
     if st.mode_a == st.mode_b:
-        _err("out-of-range", line, cols.get("mode_b"), "coupler requires two distinct modes")
+        raise _StatementError("out-of-range", ("mode_b",), "coupler requires two distinct modes")
 
 
-def _bandwidths(st, cols, line):
-    col = cols.get("vbw", cols.get("rbw"))   # the defaults pass both checks, so one is given
+def _bandwidths(st):
     if st.vbw > st.rbw:
-        _err("out-of-range", line, col, f"vbw={st.vbw} exceeds rbw={st.rbw}")
+        raise _StatementError("out-of-range", ("vbw", "rbw"), f"vbw={st.vbw} exceeds rbw={st.rbw}")
     if not math.isfinite(st.rbw / st.vbw):
-        _err("out-of-range", line, col, f"rbw/vbw overflows: rbw={st.rbw}, vbw={st.vbw}")
+        raise _StatementError("out-of-range", ("vbw", "rbw"),
+                              f"rbw/vbw overflows: rbw={st.rbw}, vbw={st.vbw}")
 
 
-@dataclass(frozen=True)
+def _check_declared(st, declared):
+    for name in st._row.mode_fields:
+        if getattr(st, name) not in declared:
+            raise _StatementError("undeclared-mode", (name,), f"mode '{getattr(st, name)}' is not declared")
+
+
 class _Row:
-    """One statement kind: how it is parsed, printed and compiled."""
+    """One statement kind: how it is parsed, printed, checked and compiled.
 
-    keyword: str
-    cls: type
-    mode_fields: tuple   # the dataclass fields naming modes, in token order
-    keys: tuple          # the allowed parameters, in print order
-    required: object     # the given fields -> the parameters that must be given
-    check: object = None    # (statement, key and mode-field columns, line); raises NetlistParseError
-    channel: object = None  # (n_modes, mode name -> index, statement) -> GaussianChannel
+    Its dataclass fields with a `_KEYS` rule are its parameters, the others name modes.
+    """
+
+    def __init__(self, keyword, cls, check=None, channel=None):
+        self.keyword, self.cls = keyword, cls
+        self.check = check       # statement -> None; raises _StatementError
+        self.channel = channel   # (n_modes, mode name -> index, statement) -> GaussianChannel
+        self.mode_fields = tuple(f.name for f in fields(cls) if f.name not in _KEYS)
+        self.params = tuple((f.name, f.default, _KEYS[f.name].fault) for f in fields(cls) if f.name in _KEYS)
+        self.keys = frozenset(key for key, _, _ in self.params)
+        cls._row = self
 
 
 _ROWS = {row.keyword: row for row in (
-    _Row("squeezer", Squeezer, ("mode",), ("r", "pump_mw", "gain", "phase", "excess"),
-         required=lambda given: () if "r" in given else ("pump_mw", "gain"),
-         check=_one_squeezing_source,
-         channel=lambda n, at, st: squeezer_channel(n, at[st.mode], st.effective_r(), st.phase, st.excess)),
-    _Row("phaseshift", PhaseShift, ("mode",), ("theta",), required=lambda given: ("theta",),
+    _Row("squeezer", Squeezer, _one_squeezing_source,
+         lambda n, at, st: squeezer_channel(n, at[st.mode], st.effective_r(), st.phase, st.excess)),
+    _Row("phaseshift", PhaseShift,
          channel=lambda n, at, st: phaseshift_channel(n, at[st.mode], st.theta)),
-    _Row("coupler", Coupler, ("mode_a", "mode_b"), ("ratio",), required=lambda given: ("ratio",),
-         check=_distinct_modes,
-         channel=lambda n, at, st: coupler_channel(n, at[st.mode_a], at[st.mode_b], st.ratio)),
-    _Row("loss", Loss, ("mode",), ("eta", "label"), required=lambda given: ("eta",),
-         channel=lambda n, at, st: loss_channel(n, at[st.mode], st.eta)),
-    _Row("homodyne", Homodyne, ("mode",),
-         ("eta_pd", "eta_e", "ratio", "sweep", "visibility", "rbw", "vbw", "center_freq", "sweep_time"),
-         required=lambda given: ("eta_pd", "eta_e", "ratio", "sweep"),
-         check=_bandwidths),
+    _Row("coupler", Coupler, _distinct_modes,
+         lambda n, at, st: coupler_channel(n, at[st.mode_a], at[st.mode_b], st.ratio)),
+    _Row("loss", Loss, channel=lambda n, at, st: loss_channel(n, at[st.mode], st.eta)),
+    _Row("homodyne", Homodyne, _bandwidths),
 )}
 _MEASUREMENT = _ROWS["homodyne"]
-_ELEMENTS = {row.cls: row for row in _ROWS.values() if row is not _MEASUREMENT}
 
 
 def _statement(row, tokens, line, declared):
@@ -284,30 +368,28 @@ def _statement(row, tokens, line, declared):
             _err("unknown-keyword", line, col, f"expected a mode name, got '{text}'")
         values[name], cols[name] = text, col
     for text, col in tokens[count + 1:]:
-        key, eq, value = text.partition("=")
+        key, eq, given = text.partition("=")
         if not eq:
             _err("unknown-keyword", line, col, f"expected key=value, got '{text}'")
         if key not in row.keys:
             _err("unknown-keyword", line, col, f"unknown parameter '{key}'")
         if key in values:
             _err("unknown-keyword", line, col, f"duplicate parameter '{key}'")
-        values[key], cols[key] = _KEYS[key][0](key, value, line, col), col
-    missing = [key for key in row.required(values) if key not in values]
-    if missing:
-        _err("unknown-keyword", line, head_col,
-             f"{head} is missing required parameter(s) {', '.join(missing)}")
-    statement = row.cls(**values)
-    _after_values(row, statement, row.check, declared, cols, line)
+        rule = _KEYS[key]
+        value = rule.read(key, given, line, col)
+        message = rule.fault(key, value, given)
+        if message is not None:
+            _err(rule.kind, line, col, message)
+        values[key], cols[key] = value, col
+    try:
+        missing = [key for key, default, _ in row.params if default is MISSING and key not in values]
+        if missing:
+            raise _missing(head, missing)
+        statement = row.cls(**values)
+        _check_declared(statement, declared)
+    except _StatementError as exc:
+        _err(exc.kind, line, next((cols[name] for name in exc.fields if name in cols), head_col), str(exc))
     return statement
-
-
-def _after_values(row, st, check, declared, cols, line):
-    """The checks on a statement once its values are read: `check`, then its modes' declarations."""
-    if check is not None:
-        check(st, cols, line)
-    for name in row.mode_fields:
-        if getattr(st, name) not in declared:
-            _err("undeclared-mode", line, cols.get(name), f"mode '{getattr(st, name)}' is not declared")
 
 
 def parse(source):
@@ -319,7 +401,7 @@ def parse(source):
     if isinstance(source, (bytes, bytearray)):
         source = bytes(source).decode("utf-8", errors="replace")
     lines = source.split("\n")
-    declared = []
+    declared = {}   # ordered, with O(1) lookups
     statements = []
     measurement = None
     measurement_line = None
@@ -345,7 +427,7 @@ def parse(source):
                     _err("unknown-keyword", line_no, col, f"'{text}' is not a valid mode identifier")
                 if text in declared:
                     _err("unknown-keyword", line_no, col, f"duplicate mode declaration '{text}'")
-                declared.append(text)
+                declared[text] = None
         elif row is None:
             _err("unknown-keyword", line_no, head_col, f"unknown statement '{head}'")
         elif row is _MEASUREMENT:
@@ -358,44 +440,29 @@ def parse(source):
     return CircuitSpec(modes=tuple(declared), statements=tuple(statements), measurement=measurement)
 
 
-def _element_rows(spec):
-    """The statements' rows; a hand-built spec that `parse` would reject past its values raises ValueError.
-
-    The measurement's bandwidths are left to `run_spec`, which reads rbw/vbw only for a noisy trace.
-    """
-    rows = [_ELEMENTS.get(type(st)) for st in spec.statements]
-    declared = frozenset(spec.modes)
-    for row, st in zip(rows, spec.statements):
-        if row is None:
-            raise TypeError(f"unknown statement type {type(st).__name__}")
-        _after_values(row, st, row.check, declared, {}, None)
-    _after_values(_MEASUREMENT, spec.measurement, None, declared, {}, None)
-    return rows
-
-
-def _statement_text(row, st):
+def _statement_text(st):
     """Keyword, mode names, then `key=value` for each key that differs from its field default."""
+    row = st._row
     words = [row.keyword, *(str(getattr(st, name)) for name in row.mode_fields)]
-    for key in row.keys:
+    for key, default, _ in row.params:
         value = getattr(st, key)
-        if value != getattr(row.cls, key, MISSING):   # the class attribute is the field default
-            words.append(f"{key}={_KEYS[key][1](value)}")
+        if value != default:
+            words.append(f"{key}={_KEYS[key].write(value)}")
     return " ".join(words)
 
 
 def pretty_print(spec):
     """Canonical text for a CircuitSpec; parses back to an identical spec."""
     out = [VERSION_HEADER, "modes: " + " ".join(spec.modes)]
-    out += [_statement_text(row, st) for row, st in zip(_element_rows(spec), spec.statements)]
-    out.append(_statement_text(_MEASUREMENT, spec.measurement))
+    out += [_statement_text(st) for st in spec.statements]
+    out.append(_statement_text(spec.measurement))
     return "\n".join(out) + "\n"
 
 
 def compile_spec(spec):
     """Compile a CircuitSpec to an ordered GaussianChannel list and a MeasurementPlan."""
-    rows = _element_rows(spec)
     n = len(spec.modes)
     index = {name: i for i, name in enumerate(spec.modes)}
-    channels = [row.channel(n, index, st) for row, st in zip(rows, spec.statements)]
+    channels = [st._row.channel(n, index, st) for st in spec.statements]
     m = spec.measurement
     return channels, MeasurementPlan(mode=index[m.mode], phases=phase_grid(*m.sweep))

@@ -55,25 +55,27 @@ def budget_factors(spec):
 
 
 def run_spec(spec, noiseless=True, seed=None):
-    """Simulate a parsed netlist; returns (trace, report).
+    """Simulate a netlist's spec; returns (trace, report).
 
     The returned trace is noisy when `noiseless` is false, in which case a
     seed is required for reproducibility. Detection reads the measurement's
-    efficiency eta and, for a noisy trace, its M = rbw/vbw. A model trace
-    that is not finite (squeezing beyond double precision) is rejected by
-    `build_report`.
+    efficiency eta and, for a noisy trace, its M = rbw/vbw. A `CircuitSpec`
+    is valid by construction, so nothing here re-checks it. A model trace
+    that is not finite (squeezing beyond double precision leaves a variance
+    at or below 0) is rejected by `build_report`, not warned about by numpy.
     """
     m = spec.measurement
     eta = effective_efficiency(m)
     state, plan = _propagate(spec)
-    model = sweep(state, plan.mode, eta, plan.phases)
-    if noiseless:
-        trace = model
-        unc_db = 0.0
-    else:
-        m_samples = m.rbw / m.vbw if m.vbw > 0.0 else math.inf   # synthesize_trace rejects inf
-        trace = synthesize_trace(model, m_samples, seed)
-        unc_db = math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        model = sweep(state, plan.mode, eta, plan.phases)
+        if noiseless:
+            trace = model
+            unc_db = 0.0
+        else:
+            m_samples = m.rbw / m.vbw
+            trace = synthesize_trace(model, m_samples, seed)
+            unc_db = math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
     report = build_report(float(model.variance_db.min()), float(model.variance_db.max()),
                           unc_db, factors=budget_factors(spec))
     return trace, report

@@ -1,9 +1,12 @@
 """Netlist parsing, pretty-printing, compilation and totality properties."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_circuit_spec, random_fuzz_text
 from sqzsim import (
@@ -12,6 +15,7 @@ from sqzsim import (
     Homodyne,
     Loss,
     NetlistParseError,
+    PhaseShift,
     Squeezer,
     apply_coupler,
     apply_loss,
@@ -75,6 +79,8 @@ def test_out_of_range_reported_before_mode_resolution():
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:1\n", "out-of-range", 2),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1:1:8\n", "out-of-range", 2),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:1000000000\n", "out-of-range", 2),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1e308:-1e308:8\n", "out-of-range", 2),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1e17:1.0000000000000002e17:4\n", "out-of-range", 2),
     pytest.param("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:" + "9" * 5000,
                  "out-of-range", 2, id="sweep-count-of-5000-digits"),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 vbw=2e6\n", "out-of-range", 2),
@@ -92,7 +98,8 @@ def test_error_kinds_and_positions(source, kind, line):
     assert e.line == line
 
 
-@pytest.mark.parametrize("sweep", ["2.5:2.50:720", "0:1:100001"])
+@pytest.mark.parametrize("sweep", ["2.5:2.50:720", "0:1:100001", "1e308:-1e308:8",
+                                   "1e17:1.0000000000000002e17:4"])
 def test_sweep_rejections_point_at_the_sweep_token(sweep):
     line = f"homodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep={sweep}"
     e = err("modes: sig\n" + line)
@@ -188,33 +195,163 @@ def test_fuzz_totality_sample():
 @pytest.mark.parametrize("stranger", [object(), parse(MINIMAL).measurement], ids=["object", "homodyne"])
 def test_non_element_statement_is_a_type_error(stranger):
     # the measurement is not an element: it lives in `measurement`, never in `statements`
-    spec = CircuitSpec(modes=("sig",), statements=(Squeezer(mode="sig", r=0.5), stranger),
-                       measurement=parse(MINIMAL).measurement)
-    name = type(stranger).__name__
-    with pytest.raises(TypeError, match=f"unknown statement type {name}"):
-        pretty_print(spec)
-    with pytest.raises(TypeError, match=f"unknown statement type {name}"):
-        compile_spec(spec)
+    with pytest.raises(TypeError, match=f"unknown statement type {type(stranger).__name__}"):
+        CircuitSpec(modes=("sig",), statements=(Squeezer(mode="sig", r=0.5), stranger),
+                    measurement=parse(MINIMAL).measurement)
 
 
-def _homodyne(mode):
-    return Homodyne(mode=mode, eta_pd=0.88, eta_e=0.95, ratio=0.5, sweep=(0.0, 3.14, 8))
+def test_spec_fields_of_the_wrong_type_are_a_type_error():
+    measurement = parse(MINIMAL).measurement
+    with pytest.raises(TypeError, match="statements must be a tuple, got list"):
+        CircuitSpec(("sig",), [Squeezer(mode="sig", r=0.5)], measurement)
+    with pytest.raises(TypeError, match="measurement must be a Homodyne, got Loss"):
+        CircuitSpec(("sig",), (), Loss(mode="sig", eta=0.5))
 
 
-@pytest.mark.parametrize("text,spec", [
+def _homodyne(mode="sig", **fields):
+    return Homodyne(**{"mode": mode, "eta_pd": 0.88, "eta_e": 0.95, "ratio": 0.5,
+                       "sweep": (0.0, 3.14, 8), **fields})
+
+
+@pytest.mark.parametrize("text,build", [
     ("squeezer sig r=0.5 pump_mw=4.0 gain=0.1\nhomodyne sig",
-     CircuitSpec(("sig",), (Squeezer(mode="sig", r=0.5, pump_mw=4.0, gain=0.1),), _homodyne("sig"))),
-    ("loss x eta=0.9\nhomodyne sig", CircuitSpec(("sig",), (Loss(mode="x", eta=0.9),), _homodyne("sig"))),
-    ("homodyne x", CircuitSpec(("sig",), (), _homodyne("x"))),
-], ids=["r-and-pump", "undeclared-element-mode", "undeclared-measured-mode"])
-def test_hand_built_spec_is_rejected_in_the_parser_words(text, spec):
-    # what parse rejects once a statement's values are read, a spec built without it cannot pass
+     lambda: Squeezer(mode="sig", r=0.5, pump_mw=4.0, gain=0.1)),
+    ("squeezer sig\nhomodyne sig", lambda: Squeezer(mode="sig")),
+    ("squeezer sig pump_mw=4.0\nhomodyne sig", lambda: Squeezer(mode="sig", pump_mw=4.0)),
+    ("coupler sig sig ratio=0.5\nhomodyne sig", lambda: Coupler(mode_a="sig", mode_b="sig", ratio=0.5)),
+    ("homodyne sig rbw=10.0 vbw=30.0", lambda: _homodyne(rbw=10.0, vbw=30.0)),
+    ("loss x eta=0.9\nhomodyne sig", lambda: CircuitSpec(("sig",), (Loss(mode="x", eta=0.9),), _homodyne())),
+    ("homodyne x", lambda: CircuitSpec(("sig",), (), _homodyne("x"))),
+], ids=["r-and-pump", "no-source", "pump-without-gain", "same-coupler-modes", "vbw-above-rbw",
+        "undeclared-element-mode", "undeclared-measured-mode"])
+def test_hand_built_spec_is_rejected_in_the_parser_words(text, build):
+    # what parse rejects once a statement's values are read, a constructor rejects in the same words
     with pytest.raises(NetlistParseError) as parsed:
         parse(f"modes: sig\n{text} eta_pd=0.88 eta_e=0.95 ratio=0.5 sweep=0:3.14:8\n")
-    for call in (compile_spec, run_spec, pretty_print):
-        with pytest.raises(ValueError) as raised:
-            call(spec)
-        assert str(raised.value) == parsed.value.message
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == parsed.value.message
+
+
+_NOT_A_NUMBER = "is not a finite int or float that a double holds exactly"
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Squeezer(mode="sig"), "squeezer is missing required parameter(s) pump_mw, gain"),
+    (lambda: Loss(mode="sig", eta="0.5"), f"eta='0.5' {_NOT_A_NUMBER}"),
+    (lambda: _homodyne(rbw=10.0, vbw=30.0), "vbw=30.0 exceeds rbw=10.0"),
+    (lambda: _homodyne(sweep=(0.0, 1.0, 1)), "sweep needs at least 2 points, got 1"),
+    (lambda: _homodyne(sweep=(1.0, 1.0, 8)), "sweep (1.0, 1.0, 8) has equal bounds"),
+    (lambda: Loss(mode="sig", eta=1.5), "eta=1.5 outside [0, 1]"),
+    (lambda: _homodyne(eta_pd=2.0), "eta_pd=2.0 outside [0, 1]"),
+    (lambda: Squeezer(mode="sig", r=0.5, excess=0.5), "excess=0.5 must be >= 1"),
+    (lambda: _homodyne(center_freq=0.0), "center_freq=0.0 must be > 0"),
+    (lambda: Loss(mode="sig", eta=0.5, label="Bad Label"), "label 'Bad Label' must be a lowercase identifier"),
+    (lambda: CircuitSpec(("sig", "sig"), (), _homodyne()),
+     "modes must be a non-empty tuple of distinct lowercase identifiers, got ('sig', 'sig')"),
+    # the detection chain's fields, once checked where run_spec read them
+    (lambda: _homodyne(eta_pd=1.2), "eta_pd=1.2 outside [0, 1]"),
+    (lambda: _homodyne(eta_pd=1.5), "eta_pd=1.5 outside [0, 1]"),
+    (lambda: _homodyne(eta_e=-0.1), "eta_e=-0.1 outside [0, 1]"),
+    (lambda: _homodyne(ratio=1.5), "ratio=1.5 outside [0, 1]"),
+    (lambda: _homodyne(visibility=-0.5), "visibility=-0.5 outside [0, 1]"),
+    (lambda: _homodyne(eta_pd=math.nan), f"eta_pd=nan {_NOT_A_NUMBER}"),
+    # sweeps whose n phases a double cannot keep distinct and in order
+    (lambda: _homodyne(sweep=(1e308, -1e308, 8)),
+     "sweep (1e+308, -1e+308, 8) needs a finite b - a and a step |b - a|/n above 2 ulp of its bounds"),
+    (lambda: _homodyne(sweep=(1e17, 1.0000000000000002e17, 4)),
+     "sweep (1e+17, 1.0000000000000002e+17, 4) needs a finite b - a and a step |b - a|/n "
+     "above 2 ulp of its bounds"),
+    # values parse could never give back
+    (lambda: PhaseShift(mode="sig", theta=2**53 + 1), f"theta=9007199254740993 {_NOT_A_NUMBER}"),
+    (lambda: PhaseShift(mode="sig", theta=10**400), f"theta={10**400!r} {_NOT_A_NUMBER}"),
+    (lambda: _homodyne(sweep=[0.0, 1.0, 4]),
+     "sweep [0.0, 1.0, 4] must be a tuple (a, b, n) of two finite numbers and an int"),
+    (lambda: _homodyne(sweep=(0.0, 1.0, 4.0)),
+     "sweep (0.0, 1.0, 4.0) must be a tuple (a, b, n) of two finite numbers and an int"),
+    (lambda: CircuitSpec(("Sig",), (), _homodyne("Sig")),
+     "modes must be a non-empty tuple of distinct lowercase identifiers, got ('Sig',)"),
+    (lambda: CircuitSpec((), (), _homodyne()),
+     "modes must be a non-empty tuple of distinct lowercase identifiers, got ()"),
+], ids=["no-source", "string-eta", "vbw-above-rbw", "one-point-sweep", "equal-sweep-bounds", "eta-1.5",
+        "eta_pd-2", "excess-0.5", "center_freq-0", "bad-label", "repeated-mode",
+        "eta_pd-1.2", "eta_pd-1.5", "eta_e-negative", "ratio-1.5", "visibility-negative", "eta_pd-nan",
+        "sweep-span-overflows", "sweep-step-below-ulp",
+        "inexact-int", "huge-int", "list-sweep", "float-count", "upper-case-mode", "no-modes"])
+def test_hand_built_statement_is_rejected_at_construction(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_hand_built_values_of_other_number_types_round_trip():
+    spec = CircuitSpec(("sig",), (Squeezer(mode="sig", r=np.float64(0.5), phase=1), Loss(mode="sig", eta=1)),
+                       _homodyne(sweep=(0, 3, 8), rbw=10**5))
+    assert parse(pretty_print(spec)) == spec
+
+
+# breaks most field rules: non-finite, negative, huge, missing, not a number
+_WILD = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, None, 50.0, 1e308, 2**60, "0.5"])
+_UNIT = st.floats(0.0, 1.0)
+_ANGLE = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _hand_built(draw):
+    """(modes, [(statement class, fields)], measurement fields), valid but for at most one wild value."""
+    wild_at, drawn = draw(st.integers(0, 40)), []
+
+    def value(good):
+        drawn.append(None)
+        return draw(_WILD) if len(drawn) == wild_at else draw(good)
+
+    def optional(**pools):
+        return {key: value(good) for key, good in pools.items() if draw(st.booleans())}
+
+    modes = tuple(f"m{i}" for i in range(draw(st.integers(1, 3))))
+    names = st.sampled_from(modes)
+    statements = []
+    for _ in range(draw(st.integers(0, 6))):
+        cls = draw(st.sampled_from([Squeezer, PhaseShift, Loss] + [Coupler] * (len(modes) > 1)))
+        mode = value(names)
+        if cls is Squeezer:
+            source = {"r": value(st.floats(0.0, 3.0))} if draw(st.booleans()) else {
+                "pump_mw": value(st.floats(0.0, 200.0)), "gain": value(st.floats(0.0, 0.1))}
+            fields = {"mode": mode, **source, **optional(phase=_ANGLE, excess=st.floats(1.0, 2.0))}
+        elif cls is PhaseShift:
+            fields = {"mode": mode, "theta": value(_ANGLE)}
+        elif cls is Coupler:
+            fields = {"mode_a": mode, "mode_b": value(names.filter(lambda name: name != mode)),
+                      "ratio": value(_UNIT)}
+        else:
+            fields = {"mode": mode, "eta": value(_UNIT),
+                      **optional(label=st.sampled_from(["facet", "filter", "Bad Label"]))}
+        statements.append((cls, fields))
+    sweep = st.tuples(_ANGLE, _ANGLE, st.integers(2, 40))
+    chain = st.floats(0.1, 0.9)   # an efficiency of 0 leaves nothing to run
+    measurement = {"mode": value(names), "eta_pd": value(chain), "eta_e": value(chain), "ratio": value(chain),
+                   "sweep": value(sweep),
+                   **optional(visibility=_UNIT, rbw=st.floats(1.0, 1e7), vbw=st.floats(1e-3, 1e3),
+                              center_freq=st.floats(1e-3, 1e7), sweep_time=st.floats(1e-3, 1e3))}
+    return modes, statements, measurement
+
+
+@settings(max_examples=200)
+@given(_hand_built())
+def test_hand_built_spec_is_rejected_or_round_trips_and_runs(parts):
+    # a constructor is the one check: what it accepts, parse accepts and run_spec runs or
+    # rejects with one of the two errors the CLI maps to exit 2; no TypeError, KeyError or warning
+    modes, statements, measurement = parts
+    try:
+        spec = CircuitSpec(modes, tuple(cls(**fields) for cls, fields in statements), Homodyne(**measurement))
+    except ValueError:
+        return
+    assert parse(pretty_print(spec)) == spec
+    for noiseless, seed in ((True, None), (False, 5)):
+        try:
+            run_spec(spec, noiseless=noiseless, seed=seed)
+        except (ValueError, OverflowError):
+            pass
 
 
 def test_compile_measurement_only_is_identity():

@@ -73,19 +73,16 @@ def test_eta_total_is_the_budget_product_in_any_loss_order(losses, ratio, visibi
 
 
 
-@pytest.mark.parametrize("fields,noiseless,message", [
-    ({"eta_pd": 1.5}, True, "eta_pd must lie in"),
-    ({"visibility": -0.5}, True, "visibility must lie in"),
-    ({"ratio": 1.5}, True, "ratio must lie in"),
-    ({"rbw": 10.0, "vbw": 30.0}, False, "rbw/vbw"),
-])
-def test_hand_built_homodyne_out_of_range_is_rejected(fields, noiseless, message):
-    # a CircuitSpec built without the parser still has its detection chain checked
-    measurement = Homodyne(**{"mode": "sig", "eta_pd": 0.88, "eta_e": 0.95, "ratio": 0.5,
-                              "sweep": (0.0, 3.14, 8), **fields})
-    spec = CircuitSpec(("sig",), (Squeezer(mode="sig", r=0.5),), measurement)
-    with pytest.raises(ValueError, match=message):
+
+@pytest.mark.parametrize("r", [10.0, 12.0, 200.0])
+@pytest.mark.parametrize("noiseless", [True, False])
+def test_squeezing_beyond_double_precision_is_rejected_without_a_warning(r, noiseless):
+    # the forward model's variance on the squeezed axis cancels to <= 0 here; Tier-1 turns warnings into errors
+    spec = parse(f"modes: sig\nsqueezer sig r={r} phase=1.1\n"
+                 "homodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1.1:3.5:8\n")
+    with pytest.raises(ValueError, match="raw_sq_db .* is not finite"):
         run_spec(spec, noiseless=noiseless, seed=None if noiseless else 1)
+
 
 def _chip(n_modes, seed):
     """Seeded chip: a squeezer on every mode, then 3N random couplers, losses and phase shifts."""
