@@ -169,6 +169,8 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
     with its total_efficiency, so eta_total is always the budget's product.
     Raw dB values must be finite with a linear variance that is a finite
     double, unc_db finite and >= 0, and the inferred uncertainties finite.
+    A table whose product is 0 has no inverse; the error names its factors
+    that are 0.
     """
     for name, value in (("raw_sq_db", raw_sq_db), ("raw_asq_db", raw_asq_db)):
         if not math.isfinite(value):
@@ -182,6 +184,10 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
         raise ValueError(f"unc_db must be finite and >= 0, got {unc_db!r}")
     table = dict(factors)
     eta = total_efficiency(table)
+    if eta == 0.0:
+        zero = [name for name, value in table.items() if value == 0.0]
+        cause = f"budget factor(s) {', '.join(zero)} are 0" if zero else "the budget's product underflows"
+        raise ValueError(f"eta_total is 0, so the loss model cannot be inverted: {cause}")
     inferred_sq = infer_generated(raw_sq_db, eta)
     inferred_asq = infer_generated(raw_asq_db, eta)
     for inferred, raw in ((inferred_sq, raw_sq_db), (inferred_asq, raw_asq_db)):

@@ -23,6 +23,8 @@ from .conversions import _as_scalar_or_array, check_unit
 SYMMETRY_RTOL = 1e-12    # relative symmetry tolerance for covariance input
 UNCERTAINTY_TOL = -1e-9  # lower bound for eigenvalues of cov + i*Omega
 CP_TOL = -1e-9           # lower bound for the channel complete-positivity check
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
 
 
 def symplectic_form(n_modes):
@@ -54,8 +56,7 @@ class GaussianState:
     def _store(self, mean, cov):
         mean.setflags(write=False)
         cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        vars(self).update(mean=mean, cov=cov)
 
     @property
     def n_modes(self):
@@ -95,15 +96,18 @@ class GaussianChannel:
             raise ValueError("channel is not completely positive")
 
     def _place(self, X, Y, n_modes, modes):
-        """Store the read-only blocks, their modes and the row indices `apply` rewrites."""
-        rows = [i for m in modes for i in (2 * m, 2 * m + 1)]
-        if rows == list(range(rows[0], rows[0] + len(rows))):
-            rows = slice(rows[0], rows[0] + len(rows))   # contiguous rows: index by views
+        """Store the read-only blocks, their modes and the row indices `apply` rewrites.
+
+        The rows are a slice when they are contiguous (indexing gives views)
+        and an index array otherwise, which numpy gathers faster than a list.
+        """
+        if modes == tuple(range(modes[0], modes[0] + len(modes))):
+            rows = slice(2 * modes[0], 2 * (modes[0] + len(modes)))
+        else:
+            rows = np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp)
         X.setflags(write=False)
         Y.setflags(write=False)
-        for name, value in (("X", X), ("Y", Y), ("modes", modes), ("n_modes", n_modes),
-                            ("_rows", rows)):
-            object.__setattr__(self, name, value)
+        vars(self).update(X=X, Y=Y, modes=modes, n_modes=n_modes, _rows=rows)
 
     def apply(self, state):
         """The output state; only the rows and columns of `modes` are recomputed.
@@ -112,18 +116,24 @@ class GaussianChannel:
         the block columns becomes the new rows and R^T the new columns, so
         the result is exactly symmetric. The input state is valid, so only
         the rewritten entries can turn non-finite, and only those are checked.
+        A zero mean stays zero under X, so it is shared rather than recomputed.
         """
         if state.n_modes != self.n_modes:
             raise ValueError("channel and state mode counts differ")
         rows, X = self._rows, self.X
-        new_mean = X @ state.mean[rows]
         new_rows = X @ state.cov[rows]
         block = new_rows[:, rows] @ X.T + self.Y
         new_rows[:, rows] = 0.5 * (block + block.T)
-        if not np.isfinite(new_rows).all() or not np.isfinite(new_mean).all():
+        mean = state.mean
+        if np.count_nonzero(mean):
+            new_mean = X @ mean[rows]
+            if not np.isfinite(new_mean).all():
+                raise ValueError("state contains non-finite values")
+            mean = mean.copy()
+            mean[rows] = new_mean
+        if not np.isfinite(new_rows).all():
             raise ValueError("state contains non-finite values")
-        mean, cov = state.mean.copy(), state.cov.copy()
-        mean[rows] = new_mean
+        cov = state.cov.copy()
         cov[rows] = new_rows
         cov[:, rows] = new_rows.T
         return _unchecked_state(mean, cov)
@@ -169,7 +179,7 @@ def _check_mode(n_modes, mode):
 def squeeze_symplectic(r, phase=0.0):
     """Single-mode squeezer, diag(e^-r, e^+r) with its axis rotated by `phase`."""
     rot = phaseshift_symplectic(phase)
-    return rot @ np.diag([np.exp(-r), np.exp(r)]) @ rot.T
+    return (rot * [np.exp(-r), np.exp(r)]) @ rot.T   # rot @ diag(e^-r, e^r) @ rot.T
 
 
 def phaseshift_symplectic(theta):
@@ -305,4 +315,4 @@ def coupler_channel(n_modes, mode_a, mode_b, ratio):
 def loss_channel(n_modes, mode, eta):
     _check_mode(n_modes, mode)
     check_unit("eta", eta)
-    return _element(np.sqrt(eta) * np.eye(2), (1.0 - eta) * np.eye(2), n_modes, (mode,))
+    return _element(math.sqrt(eta) * _EYE2, (1.0 - eta) * _EYE2, n_modes, (mode,))

@@ -1,4 +1,7 @@
-"""Shared randomised-input builders for the property tests."""
+"""Shared randomised-input builders for the property tests, and the benchmark's modules."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
@@ -20,6 +23,15 @@ from sqzsim import (
 # Bounded and reproducible, so the property tests stay a small share of Tier-1.
 settings.register_profile("sqzsim", max_examples=50, deadline=None, derandomize=True)
 settings.load_profile("sqzsim")
+
+
+def benchmark_module(name):
+    """`benchmarks/<name>.py` loaded read-only from its file; the benchmark is not a package."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_gaussian_state(rng, n_modes=None, max_ops=6, min_eta=0.2):

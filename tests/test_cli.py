@@ -174,6 +174,20 @@ def test_simulate_overflowing_squeezer_is_one_error_line(squeezer, message, tmp_
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("statements,factor", [
+    ("homodyne a eta_pd=0.9 eta_e=0.9 ratio=0 sweep=0:3:8", "coupler_imbalance"),
+    ("homodyne a eta_pd=0 eta_e=0.9 ratio=0.5 sweep=0:3:8", "photodiode"),
+    ("loss a eta=0 label=facet\nhomodyne a eta_pd=0.9 eta_e=0.9 ratio=0.5 sweep=0:3:8", "facet"),
+])
+def test_simulate_zero_efficiency_names_the_zero_factor(statements, factor, tmp_path, capsys):
+    netlist, csv, report = tmp_path / "zero.nl", tmp_path / "zero.csv", tmp_path / "zero.json"
+    netlist.write_text(f"modes: a\nsqueezer a r=0.5\n{statements}\n")
+    assert main(["simulate", str(netlist), "--noiseless", "--csv", str(csv), "--report", str(report)]) == 2
+    assert not csv.exists() and not report.exists()
+    assert capsys.readouterr().err == (f"error: eta_total is 0, so the loss model cannot be inverted: "
+                                       f"budget factor(s) {factor} are 0\n")
+
+
 def test_analyze_reference_numbers(capsys):
     assert main(["analyze", "--sq-db", "-2.00", "--asq-db", "2.80", "--eta", "0.71"]) == 0
     report = json.loads(capsys.readouterr().out)

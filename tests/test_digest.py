@@ -11,7 +11,6 @@ Run this file as a script to write the golden file.
 """
 
 import hashlib
-import importlib.util
 import io
 import json
 from pathlib import Path
@@ -19,25 +18,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_circuit_spec
+from conftest import benchmark_module, random_circuit_spec
 from sqzsim import data_path, parse, report_to_json, run_spec, write_trace_csv
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "digest_golden.json"
 DIGEST_SHA256 = "0209897b97613e1498730b4e467bee97836c0930480d7684b695337f74228a14"
-
-
-def _stress_chip_text(seed):
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "benchmarks" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.stress_chip(seed).text
 
 
 def _runs():
     """(name, spec, noiseless, seed) for every run of the set, in digest order."""
     chips = [("paper", parse(data_path("paper_chip.nl").read_text())),
-             ("stress401", parse(_stress_chip_text(401)))]
+             ("stress401", parse(benchmark_module("workloads").stress_chip(401).text))]
     for name, spec in chips:
         yield f"{name}/noiseless", spec, True, None
         for seed in (1, 7):

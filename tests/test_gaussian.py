@@ -277,11 +277,15 @@ def _element_channels(draw, n_modes):
     return coupler_channel(n_modes, *pair, draw(st.floats(0.0, 1.0)))
 
 
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
-def test_local_apply_equals_the_dense_product(n_modes, seed, data):
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_local_apply_equals_the_dense_product(n_modes, seed, displaced, data):
     # an element channel rewrites only its modes' rows and columns; the
-    # result must be the dense X C X^T + Y of its embedded 2N x 2N form
-    state = random_gaussian_state(np.random.default_rng(seed), n_modes=n_modes)
+    # result must be the dense X C X^T + Y of its embedded 2N x 2N form,
+    # and X mean both for a displaced state and for the shared zero mean
+    rng = np.random.default_rng(seed)
+    state = random_gaussian_state(rng, n_modes=n_modes)
+    if displaced:
+        state = GaussianState(rng.normal(size=2 * n_modes), state.cov)
     channel = data.draw(_element_channels(n_modes))
     assert channel.X.shape == channel.Y.shape == (2 * len(channel.modes),) * 2
     mean_in, cov_in = state.mean.copy(), state.cov.copy()
