@@ -168,9 +168,9 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
     The report carries the table as its budget and inverts the loss model
     with its total_efficiency, so eta_total is always the budget's product.
     Raw dB values must be finite with a linear variance that is a finite
-    double, unc_db finite and >= 0, and the inferred uncertainties finite.
-    A table whose product is 0 has no inverse; the error names its factors
-    that are 0.
+    double, unc_db finite and >= 0, each factor in [0, 1] (the error names
+    it) and the inferred uncertainties finite. A table whose product is 0
+    has no inverse; the error names its factors that are 0.
     """
     for name, value in (("raw_sq_db", raw_sq_db), ("raw_asq_db", raw_asq_db)):
         if not math.isfinite(value):
@@ -183,6 +183,8 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
     if not 0.0 <= unc_db < math.inf:
         raise ValueError(f"unc_db must be finite and >= 0, got {unc_db!r}")
     table = dict(factors)
+    for name, value in table.items():
+        check_unit(name, value)
     eta = total_efficiency(table)
     if eta == 0.0:
         zero = [name for name, value in table.items() if value == 0.0]

@@ -42,7 +42,8 @@ def cmd_simulate(args):
     if not args.noiseless and args.seed is None:
         raise ValueError("--seed is required unless --noiseless is given")
     trace, report = run_spec(spec, noiseless=args.noiseless, seed=args.seed)
-    write_trace_csv(trace, args.csv)
+    with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
+        write_trace_csv(trace, fh)
     with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report_to_json(report))
     print(f"wrote {args.csv} ({trace.phases.size} points)")

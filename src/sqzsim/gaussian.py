@@ -4,8 +4,10 @@ Conventions
 -----------
 Quadrature ordering is (x1, p1, x2, p2, ...). The vacuum covariance is the
 identity (shot-noise units), so a quadrature variance V reads directly as
-10*log10(V) dB on a homodyne trace. States and channels are immutable
-values; every operation returns a new state.
+10*log10(V) dB on a homodyne trace. A state is its covariance matrix alone:
+every circuit starts from vacuum and no element displaces it, so the mean
+is always zero, and every number sqzsim reports is a variance. States and
+channels are immutable values; every operation returns a new state.
 
 An element channel (squeezer, phase shift, coupler, loss) stores only its
 own 2x2 or 4x4 (X, Y) block and the ordered modes it acts on, so applying
@@ -34,38 +36,31 @@ def symplectic_form(n_modes):
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Mean vector and covariance matrix of N optical modes, vacuum variance = 1."""
+    """Covariance matrix of N optical modes, vacuum variance = 1."""
 
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size == 0 or mean.size % 2:
-            raise ValueError("mean must be a vector of length 2*n_modes")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError("cov must be a 2N x 2N matrix matching the mean")
-        if not np.isfinite(mean).all() or not np.isfinite(cov).all():
+        cov = _square_matrix(self.cov, "cov")
+        if not np.isfinite(cov).all():
             raise ValueError("state contains non-finite values")
-        self._store(mean, _symmetrised(cov, "covariance matrix is not symmetric"))
+        self._store(_symmetrised(cov, "covariance matrix is not symmetric"))
         test = self.cov + 1j * symplectic_form(self.n_modes)
         if float(np.linalg.eigvalsh(test).min()) < UNCERTAINTY_TOL:
             raise ValueError("covariance matrix violates the uncertainty relation")
 
-    def _store(self, mean, cov):
-        mean.setflags(write=False)
+    def _store(self, cov):
         cov.setflags(write=False)
-        vars(self).update(mean=mean, cov=cov)
+        vars(self)["cov"] = cov
 
     @property
     def n_modes(self):
-        return self.mean.size // 2
+        return self.cov.shape[0] // 2
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel:
-    """Deterministic Gaussian channel (X, Y): mean -> X mean, cov -> X cov X^T + Y.
+    """Deterministic Gaussian channel (X, Y): cov -> X cov X^T + Y.
 
     Unifies symplectic operations (Y = 0) and losses. X and Y act on the
     ordered `modes` of an `n_modes`-mode state; `GaussianChannel(X, Y)`
@@ -79,10 +74,8 @@ class GaussianChannel:
     n_modes: int = field(init=False)
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=float)
+        X = _square_matrix(self.X, "X")
         Y = np.array(self.Y, dtype=float)
-        if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] % 2:
-            raise ValueError("X must be a square 2N x 2N matrix")
         if Y.shape != X.shape:
             raise ValueError("Y must have the same shape as X")
         if not np.isfinite(X).all() or not np.isfinite(Y).all():
@@ -116,7 +109,6 @@ class GaussianChannel:
         the block columns becomes the new rows and R^T the new columns, so
         the result is exactly symmetric. The input state is valid, so only
         the rewritten entries can turn non-finite, and only those are checked.
-        A zero mean stays zero under X, so it is shared rather than recomputed.
         """
         if state.n_modes != self.n_modes:
             raise ValueError("channel and state mode counts differ")
@@ -124,32 +116,38 @@ class GaussianChannel:
         new_rows = X @ state.cov[rows]
         block = new_rows[:, rows] @ X.T + self.Y
         new_rows[:, rows] = 0.5 * (block + block.T)
-        mean = state.mean
-        if np.count_nonzero(mean):
-            new_mean = X @ mean[rows]
-            if not np.isfinite(new_mean).all():
-                raise ValueError("state contains non-finite values")
-            mean = mean.copy()
-            mean[rows] = new_mean
         if not np.isfinite(new_rows).all():
             raise ValueError("state contains non-finite values")
         cov = state.cov.copy()
         cov[rows] = new_rows
         cov[:, rows] = new_rows.T
-        return _unchecked_state(mean, cov)
+        return _unchecked_state(cov)
+
+
+def _square_matrix(matrix, name):
+    """`matrix` as a float array, which must be a non-empty, square, even-sized 2-D matrix."""
+    matrix = np.array(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.size == 0 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
+        raise ValueError(f"{name} must be a non-empty square 2N x 2N matrix, got shape {matrix.shape}")
+    return matrix
 
 
 def _symmetrised(matrix, message):
+    """A finite `matrix` with each asymmetric pair averaged and each symmetric pair kept bit for bit.
+
+    Entries are halved before two are combined, so no finite entry overflows.
+    """
+    half, half_t = 0.5 * matrix, 0.5 * matrix.T
     scale = max(1.0, float(np.abs(matrix).max()))
-    if float(np.abs(matrix - matrix.T).max()) > SYMMETRY_RTOL * scale:
+    if float(np.abs(half - half_t).max()) > 0.5 * SYMMETRY_RTOL * scale:
         raise ValueError(message)
-    return 0.5 * (matrix + matrix.T)
+    return np.where(matrix == matrix.T, matrix, half + half_t)
 
 
-def _unchecked_state(mean, cov):
+def _unchecked_state(cov):
     """Frozen, unchecked GaussianState: for the vacuum and `apply`'s output, physical by construction."""
     state = object.__new__(GaussianState)
-    state._store(mean, cov)
+    state._store(cov)
     return state
 
 
@@ -165,10 +163,10 @@ def _element(X, Y, n_modes, modes):
 
 
 def vacuum(n_modes):
-    """N-mode vacuum: zero mean, identity covariance."""
+    """N-mode vacuum: identity covariance."""
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    return _unchecked_state(np.zeros(2 * n_modes), np.eye(2 * n_modes))
+    return _unchecked_state(np.eye(2 * n_modes))
 
 
 def _check_mode(n_modes, mode):
@@ -231,7 +229,7 @@ def apply_coupler(state, mode_a, mode_b, ratio):
 
 
 def apply_loss(state, mode, eta):
-    """Attenuate one mode: cov block -> eta*block + (1-eta)*I, mean scaled by sqrt(eta)."""
+    """Attenuate one mode: cov block -> eta*block + (1-eta)*I."""
     return loss_channel(state.n_modes, mode, eta).apply(state)
 
 
@@ -254,7 +252,7 @@ def tensor(state_a, state_b):
     cov = np.zeros((na + nb, na + nb))
     cov[:na, :na] = state_a.cov
     cov[na:, na:] = state_b.cov
-    return GaussianState(np.concatenate([state_a.mean, state_b.mean]), cov)
+    return GaussianState(cov)
 
 
 def reduce_modes(state, modes):
@@ -265,7 +263,7 @@ def reduce_modes(state, modes):
     for m in modes:
         _check_mode(state.n_modes, m)
     idx = np.array([i for m in modes for i in (2 * m, 2 * m + 1)])
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
+    return GaussianState(state.cov[np.ix_(idx, idx)])
 
 
 def squeezer_channel(n_modes, mode, r, phase=0.0, excess=1.0):

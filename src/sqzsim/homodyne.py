@@ -96,14 +96,10 @@ def synthesize_trace(trace, m_samples, seed):
     return HomodyneTrace(trace.phases, to_db(from_db(trace.variance_db) * factors))
 
 
-def write_trace_csv(trace, target):
-    """Write `phase_rad,variance_db` CSV rows (LF endings, `.` decimal point) to a path or text stream."""
+def write_trace_csv(trace, stream):
+    """Write `phase_rad,variance_db` CSV rows (LF endings, `.` decimal point) to a text stream; return the text."""
     text = "phase_rad,variance_db\n" + "".join(
         f"{p!r},{v!r}\n" for p, v in zip(trace.phases.tolist(), trace.variance_db.tolist())
     )
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    stream.write(text)
     return text

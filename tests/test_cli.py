@@ -232,6 +232,13 @@ _ANALYZE_REJECTIONS = {
     ("-2", "2.8", "-1", "0.7"): "unc_db must be finite and >= 0",
     # a finite unc_db whose propagated uncertainty overflows would print as Infinity
     ("-2", "2.8", "1e308", "0.7"): "inferred_sq_unc_db inf is not finite",
+    # a total efficiency outside [0, 1] is named by its table entry
+    ("-2", "2.8", "0.05", "1.5"): "total must lie in [0, 1], got 1.5",
+    ("-2", "2.8", "0.05", "-0.5"): "total must lie in [0, 1], got -0.5",
+    ("-2", "2.8", "0.05", "nan"): "total must lie in [0, 1], got nan",
+    # the inferred value is so large that the forward model no longer gives the raw one back
+    ("2463.4233983981862", "52.091987960641106", "0.05", "1.9714629421149905e-228"):
+        "loss-model inversion does not round-trip at 2463.4233983981862 dB",
 }
 
 
@@ -255,10 +262,14 @@ def test_analyze_overflowing_db_is_one_error_line(capsys):
     assert "RuntimeWarning" not in err
 
 
-def test_analyze_rejects_mixed_budget_flags(capsys):
-    assert main(["analyze", "--sq-db", "-2", "--asq-db", "2.8",
-                 "--eta", "0.71", "--eta-fresnel", "0.86"]) == 2
-    assert "either" in capsys.readouterr().err
+@pytest.mark.parametrize("flags,message", [
+    (["--eta", "0.71", "--eta-fresnel", "0.86"], "give either --eta or the per-factor budget flags"),
+    (["--eta-fresnel", "0.86", "--eta-filter", "0.99", "--eta-pd", "0.88"],
+     "budget flags need --eta-fresnel, --eta-filter, --eta-pd and --eta-e"),
+], ids=["mixed", "missing-eta-e"])
+def test_analyze_rejects_mixed_or_incomplete_budget_flags(flags, message, capsys):
+    assert main(["analyze", "--sq-db", "-2", "--asq-db", "2.8", *flags]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_extrapolate_values(capsys):

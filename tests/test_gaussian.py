@@ -1,6 +1,7 @@
 """Gaussian state and channel operations against closed forms and invariants."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -44,7 +45,6 @@ V_GEN_ASQ = (10 ** 0.28 - 0.29) / 0.71   # 2.2752967858637287
 def test_vacuum_is_exact_identity():
     st = vacuum(1)
     assert np.array_equal(st.cov, np.eye(2))
-    assert np.array_equal(st.mean, np.zeros(2))
     st2 = vacuum(2)
     assert np.array_equal(st2.cov, np.eye(4))
     assert st2.n_modes == 2
@@ -66,7 +66,6 @@ def test_squeezer_r_zero_is_identity():
     st = vacuum(2)
     out = apply_squeezer(st, 1, 0.0)
     assert np.array_equal(out.cov, st.cov)
-    assert np.array_equal(out.mean, st.mean)
 
 
 def test_squeezer_closed_form_r_half():
@@ -140,8 +139,8 @@ def test_coupler_preserves_total_photon_number():
         st = random_gaussian_state(rng, n_modes=2)
         ratio = float(rng.uniform(0.0, 1.0))
         out = apply_coupler(st, 0, 1, ratio)
-        before = np.trace(st.cov - np.eye(4)) + st.mean @ st.mean
-        after = np.trace(out.cov - np.eye(4)) + out.mean @ out.mean
+        before = np.trace(st.cov - np.eye(4))
+        after = np.trace(out.cov - np.eye(4))
         assert after == pytest.approx(before, abs=1e-10)
 
 
@@ -169,7 +168,7 @@ def test_loss_eta_one_is_identity():
 
 
 def test_loss_reproduces_measured_reference_values():
-    st = GaussianState(np.zeros(2), np.diag([V_GEN_SQ, V_GEN_ASQ]))
+    st = GaussianState(np.diag([V_GEN_SQ, V_GEN_ASQ]))
     out = apply_loss(st, 0, 0.71)
     v_sq = quadrature_variance(out, 0, 0.0)
     v_asq = quadrature_variance(out, 0, np.pi / 2)
@@ -177,13 +176,6 @@ def test_loss_reproduces_measured_reference_values():
     assert v_asq == pytest.approx(1.9054607179632477, rel=1e-12)
     assert 10 * np.log10(v_sq) == pytest.approx(-2.00, abs=1e-9)
     assert 10 * np.log10(v_asq) == pytest.approx(2.80, abs=1e-9)
-
-
-def test_loss_scales_mean_by_sqrt_eta():
-    st = GaussianState(np.array([2.0, -1.0, 0.5, 0.0]), np.eye(4))
-    out = apply_loss(st, 0, 0.49)
-    assert out.mean[:2] == pytest.approx([2.0 * 0.7, -1.0 * 0.7], rel=1e-12)
-    assert np.array_equal(out.mean[2:], st.mean[2:])
 
 
 def test_loss_rejects_bad_eta():
@@ -203,7 +195,6 @@ def test_loss_equals_coupler_with_traced_ancilla():
         mixed = apply_coupler(extended, mode, st.n_modes, eta)
         reduced = reduce_modes(mixed, range(st.n_modes))
         assert np.allclose(direct.cov, reduced.cov, atol=1e-12)
-        assert np.allclose(direct.mean, reduced.mean, atol=1e-12)
 
 
 def test_lossless_ops_preserve_symplectic_form():
@@ -237,14 +228,13 @@ def test_package_products_pass_the_public_checks(seed):
     # constructors must accept every one of them
     rng = np.random.default_rng(seed)
     state = random_gaussian_state(rng, max_ops=8)
-    GaussianState(state.mean, state.cov)
+    GaussianState(state.cov)
     spec = random_circuit_spec(rng)
     for channel in compile_spec(spec)[0]:
         GaussianChannel(channel.X, channel.Y)
     out = output_state(spec)
-    GaussianState(out.mean, out.cov)
-    empty = vacuum(out.n_modes)
-    GaussianState(empty.mean, empty.cov)
+    GaussianState(out.cov)
+    GaussianState(vacuum(out.n_modes).cov)
 
 
 def _dense(channel):
@@ -277,25 +267,21 @@ def _element_channels(draw, n_modes):
     return coupler_channel(n_modes, *pair, draw(st.floats(0.0, 1.0)))
 
 
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.data())
-def test_local_apply_equals_the_dense_product(n_modes, seed, displaced, data):
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_local_apply_equals_the_dense_product(n_modes, seed, data):
     # an element channel rewrites only its modes' rows and columns; the
-    # result must be the dense X C X^T + Y of its embedded 2N x 2N form,
-    # and X mean both for a displaced state and for the shared zero mean
+    # result must be the dense X C X^T + Y of its embedded 2N x 2N form
     rng = np.random.default_rng(seed)
     state = random_gaussian_state(rng, n_modes=n_modes)
-    if displaced:
-        state = GaussianState(rng.normal(size=2 * n_modes), state.cov)
     channel = data.draw(_element_channels(n_modes))
     assert channel.X.shape == channel.Y.shape == (2 * len(channel.modes),) * 2
-    mean_in, cov_in = state.mean.copy(), state.cov.copy()
+    cov_in = state.cov.copy()
     out = channel.apply(state)
     X, Y = _dense(channel)
-    want_cov, want_mean = X @ state.cov @ X.T + Y, X @ state.mean
+    want_cov = X @ state.cov @ X.T + Y
     assert np.abs(out.cov - want_cov).max() <= 1e-12 * np.abs(want_cov).max()
-    assert np.abs(out.mean - want_mean).max() <= 1e-12 * max(1.0, np.abs(want_mean).max())
     assert np.array_equal(out.cov, out.cov.T)
-    assert np.array_equal(state.cov, cov_in) and np.array_equal(state.mean, mean_in)
+    assert np.array_equal(state.cov, cov_in)
     # the public all-modes channel of the same dense pair takes the same path
     full = GaussianChannel(X, Y)
     assert full.modes == tuple(range(n_modes))
@@ -344,20 +330,64 @@ def test_quadrature_variance_pi_periodic():
         assert abs(a - b) < 1e-12
 
 
-def test_mean_stays_zero_without_displacements():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        st = random_gaussian_state(rng)
-        assert np.array_equal(st.mean, np.zeros(2 * st.n_modes))
+_NOT_SQUARE = "cov must be a non-empty square 2N x 2N matrix, got shape "
 
 
-def test_state_validation_rejects_bad_covariances():
-    with pytest.raises(ValueError):
-        GaussianState(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]))
-    with pytest.raises(ValueError):
-        GaussianState(np.zeros(2), 0.1 * np.eye(2))  # below the uncertainty bound
-    with pytest.raises(ValueError):
-        GaussianState(np.zeros(3), np.eye(3))
+@pytest.mark.parametrize("cov,message", [
+    (np.array([[1.0, 0.5], [0.2, 1.0]]), "covariance matrix is not symmetric"),
+    # cov - cov^T would overflow; the check halves each entry first
+    (np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]), "covariance matrix is not symmetric"),
+    (0.1 * np.eye(2), "covariance matrix violates the uncertainty relation"),
+    (np.eye(3), _NOT_SQUARE + "(3, 3)"),
+    (np.zeros((0, 0)), _NOT_SQUARE + "(0, 0)"),
+    (np.ones(4), _NOT_SQUARE + "(4,)"),
+    (np.ones((2, 4)), _NOT_SQUARE + "(2, 4)"),
+    (np.diag([1.0, math.nan]), "state contains non-finite values"),
+    (np.diag([math.inf, 1.0]), "state contains non-finite values"),
+], ids=["asymmetric", "asymmetric-near-max", "below-uncertainty", "odd", "empty", "vector",
+        "rectangular", "nan", "inf"])
+def test_state_validation_rejects_bad_covariances(cov, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy overflow warning would fail here
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GaussianState(cov)
+
+
+@pytest.mark.parametrize("matrix", [np.diag([1.5e308, 1.0]), np.array([[1.0, -0.0], [-0.0, 1.0]])],
+                         ids=["near-max", "negative-zero"])
+@pytest.mark.parametrize("store", [lambda m: GaussianState(m).cov,
+                                   lambda m: GaussianChannel(np.eye(2), m).Y],
+                         ids=["state-cov", "channel-Y"])
+def test_symmetric_input_is_stored_bit_for_bit(store, matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # 1.5e308 + 1.5e308 would overflow
+        stored = store(matrix)
+    assert stored.tobytes() == matrix.tobytes()
+
+
+def test_asymmetry_within_tolerance_is_averaged_to_an_exactly_symmetric_matrix():
+    cov = np.array([[2.0, 0.3 + 1e-13], [0.3, 1.0]])
+    stored = GaussianState(cov).cov
+    assert np.array_equal(stored, stored.T)
+    assert stored[0, 1] == 0.5 * cov[0, 1] + 0.5 * cov[1, 0]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: GaussianChannel(np.eye(3), np.zeros((3, 3))),
+     "X must be a non-empty square 2N x 2N matrix, got shape (3, 3)"),
+    (lambda: GaussianChannel(np.zeros((0, 0)), np.zeros((0, 0))),
+     "X must be a non-empty square 2N x 2N matrix, got shape (0, 0)"),
+    (lambda: GaussianChannel(np.eye(2), np.zeros((4, 4))), "Y must have the same shape as X"),
+    (lambda: GaussianChannel(np.diag([1.0, math.nan]), np.zeros((2, 2))), "channel contains non-finite values"),
+    (lambda: GaussianChannel(np.eye(2), np.diag([math.inf, 0.0])), "channel contains non-finite values"),
+    (lambda: GaussianChannel(np.eye(2), np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])), "Y must be symmetric"),
+    (lambda: loss_channel(2, 0, 0.5).apply(vacuum(3)), "channel and state mode counts differ"),
+], ids=["X-odd", "X-empty", "Y-shape", "X-nan", "Y-inf", "Y-asymmetric-near-max", "mode-counts"])
+def test_channel_rejects_bad_blocks_and_other_mode_counts(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_channel_complete_positivity_check():

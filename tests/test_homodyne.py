@@ -43,7 +43,7 @@ def reference_chip_state():
     eta_total = 0.85777 * 0.99 * REFERENCE_ETA
     vx = (10 ** -0.2 - (1.0 - eta_total)) / eta_total
     vp = (10 ** 0.28 - (1.0 - eta_total)) / eta_total
-    return GaussianState(np.zeros(2), np.diag([vx, vp]))
+    return GaussianState(np.diag([vx, vp]))
 
 
 def test_effective_efficiency_values():

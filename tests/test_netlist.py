@@ -72,6 +72,7 @@ def test_out_of_range_reported_before_mode_resolution():
     ("modes: sig\nloss sig eta=abc\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2),
     ("modes: sig\nloss sig eta=nan\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2),
     ("modes: sig\nloss sig eta=1e\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2),
+    ("modes: sig\nloss sig eta=1e999\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2),
     ("modes: sig\nsqueezer sig r=-0.1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2),
     ("modes: sig\nsqueezer sig r=0.1 excess=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1\n", "bad-number", 2),
