@@ -2,10 +2,13 @@
 
 All variances are normalised to the vacuum (shot-noise) level: 10*log10(V) is
 the dB value on a squeezing trace, and efficiency eta takes V to eta*V + (1 - eta).
-Scalars come back as plain floats, arrays as arrays.
+Scalars come back as plain floats, arrays as arrays. An int or float goes
+through `math`, anything else through numpy, so a scalar command never loads it.
 """
 
-import numpy as np
+import math
+
+from ._numpy import np
 
 
 def _as_scalar_or_array(value):
@@ -25,10 +28,20 @@ def detected(v, eta):
 
 
 def to_db(variance):
-    """Convert a shot-noise-normalised variance to dB."""
+    """Convert a shot-noise-normalised variance to dB: -inf at 0, nan below 0 or at nan."""
+    if isinstance(variance, (int, float)):
+        if variance > 0.0:
+            return 10.0 * math.log10(variance)
+        return -math.inf if variance == 0.0 else math.nan
     return _as_scalar_or_array(10.0 * np.log10(variance))
 
 
 def from_db(db):
-    """Convert a dB value back to a linear, shot-noise-normalised variance."""
+    """Convert a dB value back to a linear, shot-noise-normalised variance; inf beyond a double."""
+    if isinstance(db, (int, float)):
+        exponent = db / 10.0
+        try:
+            return 10.0 ** exponent
+        except OverflowError:
+            return math.inf
     return _as_scalar_or_array(10.0 ** (np.asarray(db, dtype=float) / 10.0))

@@ -14,10 +14,12 @@ Loss with efficiency eta is the generalised amplitude-damping family
     K_k |n> = sqrt(C(n, k) eta^{n-k} (1 - eta)^k) |n-k>
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 DEFAULT_N_MAX = 60
 R_MAX = 1.2          # beyond this the cutoff at n_max=60 is not trustworthy

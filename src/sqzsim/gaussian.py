@@ -15,18 +15,17 @@ it rewrites just those modes' rows and columns: O(N) work per element on
 an N-mode state instead of a dense 2N x 2N product.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .conversions import _as_scalar_or_array, check_unit
 
 SYMMETRY_RTOL = 1e-12    # relative symmetry tolerance for covariance input
 UNCERTAINTY_TOL = -1e-9  # lower bound for eigenvalues of cov + i*Omega
 CP_TOL = -1e-9           # lower bound for the channel complete-positivity check
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
 
 
 def symplectic_form(n_modes):
@@ -313,4 +312,5 @@ def coupler_channel(n_modes, mode_a, mode_b, ratio):
 def loss_channel(n_modes, mode, eta):
     _check_mode(n_modes, mode)
     check_unit("eta", eta)
-    return _element(math.sqrt(eta) * _EYE2, (1.0 - eta) * _EYE2, n_modes, (mode,))
+    eye = np.eye(2)
+    return _element(math.sqrt(eta) * eye, (1.0 - eta) * eye, n_modes, (mode,))

@@ -8,11 +8,12 @@ dB, optionally dressed with the finite RBW/VBW estimator scatter, which
 depends only on M = rbw/vbw.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .conversions import detected, from_db, to_db
 from .gaussian import quadrature_variance
 

@@ -31,7 +31,9 @@ Each statement kind is one `_ROWS` row (keyword, dataclass, cross-field
 check, channel builder) read by `parse`, `pretty_print` and `compile_spec`;
 `_KEYS` holds each key's value rule once. A new element is one row plus its
 dataclass. The statement dataclasses and `CircuitSpec` check themselves on
-construction with the parser's rules, so any spec is one `parse` accepts.
+construction with the parser's rules, so any spec is one `parse` accepts;
+`parse` itself checks each value once, as it reads it, and builds its
+statements through `_Row.trusted` and its spec without those checks.
 
 Errors carry a position and one of six kinds: unknown-keyword,
 undeclared-mode, bad-number, out-of-range, duplicate-measurement,
@@ -42,14 +44,15 @@ out-of-range. Parameter values are validated before mode references, so
 `loss sig eta=1.2` is an out-of-range error even if `sig` is undeclared.
 """
 
+from __future__ import annotations
+
 import math
 import re
 import sys
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
 
-import numpy as np
-
+from ._numpy import np
 from .budget import pump_to_r
 from .gaussian import (
     coupler_channel,
@@ -65,6 +68,7 @@ MAX_SWEEP_POINTS = 100_000
 _IDENT = re.compile(r"[a-z][a-z0-9_]*\Z")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _INT = re.compile(r"\d+\Z")
+_TOKEN = re.compile(r"\S+")
 
 
 class NetlistParseError(Exception):
@@ -199,7 +203,7 @@ def _tokenize(line):
     cut = line.find("#")
     if cut >= 0:
         line = line[:cut]
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
 
 
 # a key's rule: `read(key, text, line, col)` checks a token's syntax, `fault(key, value,
@@ -323,6 +327,13 @@ def _check_declared(st, declared):
             raise _StatementError("undeclared-mode", (name,), f"mode '{getattr(st, name)}' is not declared")
 
 
+def _unchecked(cls, values):
+    """A `cls` dataclass holding `values`, built without its `__post_init__` checks."""
+    obj = object.__new__(cls)
+    vars(obj).update(values)
+    return obj
+
+
 class _Row:
     """One statement kind: how it is parsed, printed, checked and compiled.
 
@@ -336,7 +347,15 @@ class _Row:
         self.mode_fields = tuple(f.name for f in fields(cls) if f.name not in _KEYS)
         self.params = tuple((f.name, f.default, _KEYS[f.name].fault) for f in fields(cls) if f.name in _KEYS)
         self.keys = frozenset(key for key, _, _ in self.params)
+        self.defaults = {key: default for key, default, _ in self.params if default is not MISSING}
         cls._row = self
+
+    def trusted(self, values):
+        """The statement of values `parse` has checked one by one; only the row's check runs."""
+        statement = _unchecked(self.cls, {**self.defaults, **values})
+        if self.check is not None:
+            self.check(statement)
+        return statement
 
 
 _ROWS = {row.keyword: row for row in (
@@ -385,7 +404,7 @@ def _statement(row, tokens, line, declared):
         missing = [key for key, default, _ in row.params if default is MISSING and key not in values]
         if missing:
             raise _missing(head, missing)
-        statement = row.cls(**values)
+        statement = row.trusted(values)
         _check_declared(statement, declared)
     except _StatementError as exc:
         _err(exc.kind, line, next((cols[name] for name in exc.fields if name in cols), head_col), str(exc))
@@ -437,7 +456,9 @@ def parse(source):
 
     if measurement is None:
         _err("missing-measurement", len(lines), 1, "netlist has no homodyne measurement statement")
-    return CircuitSpec(modes=tuple(declared), statements=tuple(statements), measurement=measurement)
+    # every part was checked on entry, so the spec's own checks would only repeat them
+    return _unchecked(CircuitSpec, {"modes": tuple(declared), "statements": tuple(statements),
+                                    "measurement": measurement})
 
 
 def _statement_text(st):

@@ -22,7 +22,7 @@ from conftest import benchmark_module, random_circuit_spec
 from sqzsim import data_path, parse, report_to_json, run_spec, write_trace_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "digest_golden.json"
-DIGEST_SHA256 = "0209897b97613e1498730b4e467bee97836c0930480d7684b695337f74228a14"
+DIGEST_SHA256 = "537398826a7ba996da9c01b5bc0029e048de182b2569d2a63f75fb47346aea88"
 
 
 def _runs():

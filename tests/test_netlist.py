@@ -1,5 +1,6 @@
 """Netlist parsing, pretty-printing, compilation and totality properties."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -353,6 +354,47 @@ def test_hand_built_spec_is_rejected_or_round_trips_and_runs(parts):
             run_spec(spec, noiseless=noiseless, seed=seed)
         except (ValueError, OverflowError):
             pass
+
+
+def _word(value):
+    if isinstance(value, tuple):
+        return ":".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+def _netlist_text(parts):
+    """`_hand_built` parts written as netlist text; a None value leaves its key out."""
+    modes, statements, measurement = parts
+    keywords = {Squeezer: "squeezer", PhaseShift: "phaseshift", Coupler: "coupler", Loss: "loss"}
+    lines = ["modes: " + " ".join(modes)]
+    for cls, values in [*statements, (Homodyne, measurement)]:
+        words = [keywords.get(cls, "homodyne")]
+        for key, value in values.items():
+            if key.startswith("mode"):
+                words.append(str(value))
+            elif value is not None:
+                words.append(f"{key}={_word(value)}")
+        lines.append(" ".join(words))
+    return "\n".join(lines) + "\n"
+
+
+def _values(statement):
+    return {f.name: getattr(statement, f.name) for f in dataclasses.fields(statement)}
+
+
+@settings(max_examples=200)
+@given(_hand_built())
+def test_parse_equals_the_public_constructors(parts):
+    # parse checks each value once and skips the constructors' checks; what it
+    # returns must be what the checking constructors build from the same fields
+    try:
+        spec = parse(_netlist_text(parts))
+    except NetlistParseError:
+        return
+    rebuilt = CircuitSpec(spec.modes, tuple(type(st)(**_values(st)) for st in spec.statements),
+                          Homodyne(**_values(spec.measurement)))
+    assert rebuilt == spec
+    assert [_values(st) for st in rebuilt.statements] == [_values(st) for st in spec.statements]
 
 
 def test_compile_measurement_only_is_identity():
