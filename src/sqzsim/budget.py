@@ -58,10 +58,7 @@ def electronic_efficiency(snr_db):
     """Electronic-noise penalty (S - 1)/S for a shot-to-dark SNR given in dB."""
     if snr_db <= 0:
         raise ValueError("SNR must be positive (in dB); noise would swamp the signal")
-    try:
-        snr = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        snr = math.inf
+    snr = from_db(snr_db)
     if not math.isfinite(snr):
         raise ValueError(f"SNR {snr_db!r} dB has no finite linear value")
     return (snr - 1.0) / snr
@@ -107,11 +104,10 @@ def purity_product(sq_db, asq_db):
     Raises OverflowError, naming both inputs, when the product is not a finite
     double, and ValueError when it underflows to 0, which has no dB value.
     """
-    try:
-        product = math.pow(10.0, (sq_db + asq_db) / 10.0)
-    except OverflowError:
+    product = from_db(sq_db + asq_db)
+    if product == math.inf:
         raise OverflowError(f"purity product of inferred sq/asq {sq_db!r}/{asq_db!r} dB "
-                            f"overflows a double") from None
+                            f"overflows a double")
     if product == 0.0:
         raise ValueError(f"purity product of inferred sq/asq {sq_db!r}/{asq_db!r} dB underflows to 0")
     return product
@@ -175,11 +171,9 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
     for name, value in (("raw_sq_db", raw_sq_db), ("raw_asq_db", raw_asq_db)):
         if not math.isfinite(value):
             raise ValueError(f"{name} {value!r} is not finite")
-        try:
-            math.pow(10.0, value / 10.0)
-        except OverflowError:
+        if from_db(value) == math.inf:
             raise ValueError(f"{name} {value!r} dB has no finite linear variance, "
-                             f"so it cannot round-trip through the loss model") from None
+                             f"so it cannot round-trip through the loss model")
     if not 0.0 <= unc_db < math.inf:
         raise ValueError(f"unc_db must be finite and >= 0, got {unc_db!r}")
     table = dict(factors)

@@ -7,6 +7,7 @@ Numeric stdout is printed at full precision with a `.` decimal point.
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .budget import (
@@ -41,6 +42,8 @@ def cmd_simulate(args):
     spec = parse(Path(args.netlist).read_bytes())
     if not args.noiseless and args.seed is None:
         raise ValueError("--seed is required unless --noiseless is given")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     trace, report = run_spec(spec, noiseless=args.noiseless, seed=args.seed)
     with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
         write_trace_csv(trace, fh)
@@ -53,19 +56,16 @@ def cmd_simulate(args):
 
 
 def _factors_from_args(args):
-    named = (args.eta_fresnel, args.eta_filter, args.eta_pd, args.eta_e)
+    """The budget table of `analyze`: --eta alone, or an EfficiencyBudget of the flags given."""
+    budget = fields(EfficiencyBudget)   # one --eta-* flag per field, unset flags are None
+    flags = {f.name: getattr(args, f.name) for f in budget if getattr(args, f.name) is not None}
     if args.eta is not None:
-        if any(v is not None for v in named):
+        if flags:
             raise ValueError("give either --eta or the per-factor budget flags, not both")
         return {"total": args.eta}
-    if any(v is None for v in named):
+    if any(f.default is MISSING and f.name not in flags for f in budget):
         raise ValueError("budget flags need --eta-fresnel, --eta-filter, --eta-pd and --eta-e")
-    budget = EfficiencyBudget(
-        eta_fresnel=args.eta_fresnel, eta_filter=args.eta_filter,
-        eta_pd=args.eta_pd, eta_e=args.eta_e,
-        eta_coupler=args.eta_coupler, eta_visibility=args.eta_visibility,
-        eta_prop=args.eta_prop)
-    return budget.factors()
+    return EfficiencyBudget(**flags).factors()
 
 
 def cmd_analyze(args):
@@ -114,13 +114,8 @@ def build_parser():
     p.add_argument("--asq-db", type=float, required=True, help="measured antisqueezing, dB")
     p.add_argument("--unc-db", type=float, default=0.05, help="measurement uncertainty, dB")
     p.add_argument("--eta", type=float, default=None, help="total measurement efficiency")
-    p.add_argument("--eta-fresnel", type=float, default=None)
-    p.add_argument("--eta-filter", type=float, default=None)
-    p.add_argument("--eta-pd", type=float, default=None)
-    p.add_argument("--eta-e", type=float, default=None)
-    p.add_argument("--eta-coupler", type=float, default=1.0)
-    p.add_argument("--eta-visibility", type=float, default=1.0)
-    p.add_argument("--eta-prop", type=float, default=1.0)
+    for field in fields(EfficiencyBudget):
+        p.add_argument("--" + field.name.replace("_", "-"), type=float)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("extrapolate", help="squeezing versus pump power")

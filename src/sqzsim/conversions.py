@@ -4,6 +4,8 @@ All variances are normalised to the vacuum (shot-noise) level: 10*log10(V) is
 the dB value on a squeezing trace, and efficiency eta takes V to eta*V + (1 - eta).
 Scalars come back as plain floats, arrays as arrays. An int or float goes
 through `math`, anything else through numpy, so a scalar command never loads it.
+Both branches give the same edge values without a warning: to_db is -inf at 0
+and nan below 0, from_db is inf beyond a double.
 """
 
 import math
@@ -33,7 +35,8 @@ def to_db(variance):
         if variance > 0.0:
             return 10.0 * math.log10(variance)
         return -math.inf if variance == 0.0 else math.nan
-    return _as_scalar_or_array(10.0 * np.log10(variance))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _as_scalar_or_array(10.0 * np.log10(variance))
 
 
 def from_db(db):
@@ -44,4 +47,5 @@ def from_db(db):
             return 10.0 ** exponent
         except OverflowError:
             return math.inf
-    return _as_scalar_or_array(10.0 ** (np.asarray(db, dtype=float) / 10.0))
+    with np.errstate(over="ignore"):
+        return _as_scalar_or_array(10.0 ** (np.asarray(db, dtype=float) / 10.0))

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
+from .conversions import check_unit
 
 DEFAULT_N_MAX = 60
 R_MAX = 1.2          # beyond this the cutoff at n_max=60 is not trustworthy
@@ -83,8 +84,7 @@ def squeezed_vacuum_fock(r, n_max=DEFAULT_N_MAX):
 
 def apply_loss_fock(state, eta):
     """Lossy channel with efficiency eta, as the full Kraus sum."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("efficiency eta must lie in [0, 1]")
+    check_unit("eta", eta)
     dim = state.n_max + 1
     ns = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)

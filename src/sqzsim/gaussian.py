@@ -104,7 +104,8 @@ class GaussianChannel:
     def apply(self, state):
         """The output state; only the rows and columns of `modes` are recomputed.
 
-        R = X C[rows, :] with its block R[:, rows] X^T + Y, symmetrised, in
+        R = X C[rows, :] with its block R[:, rows] X^T + Y, halved and added
+        to its transpose (so a representable block does not overflow), in
         the block columns becomes the new rows and R^T the new columns, so
         the result is exactly symmetric. The input state is valid, so only
         the rewritten entries can turn non-finite, and only those are checked.
@@ -114,7 +115,8 @@ class GaussianChannel:
         rows, X = self._rows, self.X
         new_rows = X @ state.cov[rows]
         block = new_rows[:, rows] @ X.T + self.Y
-        new_rows[:, rows] = 0.5 * (block + block.T)
+        half = 0.5 * block
+        new_rows[:, rows] = half + half.T
         if not np.isfinite(new_rows).all():
             raise ValueError("state contains non-finite values")
         cov = state.cov.copy()

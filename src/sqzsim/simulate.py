@@ -66,15 +66,14 @@ def run_spec(spec, noiseless=True, seed=None):
     m = spec.measurement
     eta = effective_efficiency(m)
     state, plan = _propagate(spec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        model = sweep(state, plan.mode, eta, plan.phases)
-        if noiseless:
-            trace = model
-            unc_db = 0.0
-        else:
-            m_samples = m.rbw / m.vbw
-            trace = synthesize_trace(model, m_samples, seed)
-            unc_db = math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
+    model = sweep(state, plan.mode, eta, plan.phases)
+    if noiseless:
+        trace = model
+        unc_db = 0.0
+    else:
+        m_samples = m.rbw / m.vbw
+        trace = synthesize_trace(model, m_samples, seed)
+        unc_db = math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
     report = build_report(float(model.variance_db.min()), float(model.variance_db.max()),
                           unc_db, factors=budget_factors(spec))
     return trace, report

@@ -97,6 +97,13 @@ def test_simulate_requires_seed_unless_noiseless(chip_file, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_simulate_rejects_negative_seed(chip_file, tmp_path, capsys):
+    assert main(["simulate", str(chip_file), "--seed", "-1",
+                 "--csv", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_simulate_vacuum_only_netlist_is_flat(tmp_path):
     netlist = tmp_path / "vac.nl"
     netlist.write_text("modes: sig\nhomodyne sig eta_pd=0.9 eta_e=0.9 ratio=0.5 sweep=0:6.283185307179586:16\n")
@@ -264,9 +271,12 @@ def test_analyze_overflowing_db_is_one_error_line(capsys):
 
 @pytest.mark.parametrize("flags,message", [
     (["--eta", "0.71", "--eta-fresnel", "0.86"], "give either --eta or the per-factor budget flags"),
+    (["--eta", "0.71", "--eta-coupler", "0.9"], "give either --eta or the per-factor budget flags"),
+    (["--eta", "0.71", "--eta-visibility", "0.9"], "give either --eta or the per-factor budget flags"),
+    (["--eta", "0.71", "--eta-prop", "0.5"], "give either --eta or the per-factor budget flags"),
     (["--eta-fresnel", "0.86", "--eta-filter", "0.99", "--eta-pd", "0.88"],
      "budget flags need --eta-fresnel, --eta-filter, --eta-pd and --eta-e"),
-], ids=["mixed", "missing-eta-e"])
+], ids=["mixed", "mixed-coupler", "mixed-visibility", "mixed-prop", "missing-eta-e"])
 def test_analyze_rejects_mixed_or_incomplete_budget_flags(flags, message, capsys):
     assert main(["analyze", "--sq-db", "-2", "--asq-db", "2.8", *flags]) == 2
     assert message in capsys.readouterr().err

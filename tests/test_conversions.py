@@ -31,3 +31,8 @@ def test_scalar_edge_values_give_no_warning():
         assert to_db(math.inf) == math.inf
         assert from_db(4000.0) == math.inf
         assert from_db(-math.inf) == 0.0 and math.isnan(from_db(math.nan))
+        # the numpy branch gives the same edge values, also without a warning
+        db = to_db(np.array([0.0, -1.0]))
+        assert db[0] == -math.inf and math.isnan(db[1])
+        assert math.isnan(to_db(np.float32(-1)))
+        assert from_db(np.array([4000.0]))[0] == math.inf

@@ -85,6 +85,12 @@ def test_loss_identity_and_total_loss():
     assert mean_photons(dumped) == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan])
+def test_loss_rejects_eta_outside_unit_interval(eta):
+    with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\], got"):
+        apply_loss_fock(squeezed_vacuum_fock(0.6), eta)
+
+
 def test_loss_preserves_trace_and_scales_photons():
     st = squeezed_vacuum_fock(0.8)
     n_before = mean_photons(st)

@@ -296,6 +296,16 @@ def test_squeezing_beyond_double_precision_is_rejected():
             channel.apply(vacuum(2))
 
 
+def test_squeezing_to_the_edge_of_double_precision_is_kept():
+    # e^2r is about 1.5e308: the output is a double, and the symmetrised
+    # block is halved before its two halves are added, so it does not overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_squeezer(vacuum(1), 0, 354.8)
+    assert out.cov[1, 1] == pytest.approx(math.exp(709.6), rel=1e-12)
+    assert out.cov[0, 0] > 0.0 and out.cov[0, 1] == 0.0
+
+
 @pytest.mark.parametrize("call", [lambda: apply_squeezer(vacuum(1), 0, 400.0),
                                   lambda: squeezer_channel(1, 0, 800.0),
                                   # (excess - 1) e^2r overflows just past r = ln(max double)/2
