@@ -1,0 +1,73 @@
+"""Frozen value records, the one base of sqzsim's value classes: `class Loss(Record)`.
+
+A subclass's own annotations, in order, are its fields; a class attribute of
+the same name is that field's default. `cls._fields` is the one field
+table, a `(name, default)` pair per field with `MISSING` where there is no
+default. An instance takes its fields positionally or by keyword, runs
+`__post_init__`, refuses assignment and prints as `Loss(mode='sig',
+eta=0.99, label=None)`. With `eq=True` (the default) records of the same
+class are equal, and hash alike, when their field tuples are; a class
+declared `class GaussianState(Record, eq=False)` compares by identity.
+
+This is the part of the standard `@dataclass(frozen=True)` that sqzsim
+uses, without importing its module (and with it `inspect`) or generating
+and `exec`ing source for each class, so a scalar CLI process starts sooner.
+"""
+
+MISSING = object()   # default of a field that has none
+
+
+def _values(record):
+    return tuple(getattr(record, name) for name, _ in record._fields)
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _hash(self):
+    return hash(_values(self))
+
+
+class Record:
+    _fields = ()
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple((name, vars(cls).get(name, MISSING)) for name in cls.__annotations__)
+        if eq:
+            cls.__eq__, cls.__hash__ = _eq, _hash
+
+    def __init__(self, *args, **kwargs):
+        call, state = f"{type(self).__name__}()", vars(self)
+        if len(args) > len(self._fields):
+            raise TypeError(f"{call} takes {len(self._fields)} positional arguments but {len(args)} were given")
+        for i, (name, default) in enumerate(self._fields):
+            if name in kwargs:
+                if i < len(args):
+                    raise TypeError(f"{call} got multiple values for argument '{name}'")
+                state[name] = kwargs.pop(name)
+            elif i < len(args):
+                state[name] = args[i]
+            elif default is not MISSING:
+                state[name] = default
+            else:
+                raise TypeError(f"{call} missing required argument '{name}'")
+        if kwargs:
+            raise TypeError(f"{call} got an unexpected keyword argument '{next(iter(kwargs))}'")
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks and normalises the fields after `__init__` binds them; subclasses override it."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name, _ in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -7,10 +7,9 @@ check, and extrapolation of squeezing versus pump power under a
 single-pass r = gain*sqrt(P) law.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
 
+from ._record import Record
 from .conversions import check_unit, detected, from_db, to_db
 
 
@@ -18,8 +17,7 @@ class InfeasibleMeasurementError(ValueError):
     """Measured variance at or below the loss floor 1 - eta; inversion impossible."""
 
 
-@dataclass(frozen=True)
-class EfficiencyBudget:
+class EfficiencyBudget(Record):
     """Named efficiency factors of the detection chain; optional ones default to 1."""
 
     eta_fresnel: float
@@ -31,8 +29,8 @@ class EfficiencyBudget:
     eta_prop: float = 1.0
 
     def __post_init__(self):
-        for field in fields(self):
-            check_unit(field.name, getattr(self, field.name))
+        for name, _ in self._fields:
+            check_unit(name, getattr(self, name))
 
     def factors(self):
         """Name -> efficiency table: the four chain factors, then any optional one not 1."""
@@ -133,8 +131,7 @@ def extrapolate_squeezing(gain, pump_mw, eta_eff=1.0):
     return to_db(variance)
 
 
-@dataclass(frozen=True)
-class SqueezingReport:
+class SqueezingReport(Record):
     """Raw and loss-corrected squeezing figures with the per-factor budget."""
 
     raw_sq_db: float
@@ -166,7 +163,8 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
     Raw dB values must be finite with a linear variance that is a finite
     double, unc_db finite and >= 0, each factor in [0, 1] (the error names
     it) and the inferred uncertainties finite. A table whose product is 0
-    has no inverse; the error names its factors that are 0.
+    has no inverse; the error names its factors that are 0. A raw_sq_db
+    above raw_asq_db (the two swapped) is rejected naming both.
     """
     for name, value in (("raw_sq_db", raw_sq_db), ("raw_asq_db", raw_asq_db)):
         if not math.isfinite(value):
@@ -190,6 +188,9 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
         if abs(forward_measured(inferred, eta) - raw) > 1e-9:
             raise ValueError(f"loss-model inversion does not round-trip at {raw!r} dB "
                              f"(beyond double precision)")
+    if raw_sq_db > raw_asq_db:
+        raise ValueError(f"raw_sq_db {raw_sq_db!r} dB exceeds raw_asq_db {raw_asq_db!r} dB: "
+                         f"the squeezed quadrature is the smaller of the two")
     purity = purity_product(inferred_sq, inferred_asq)
     uncertainties = {name: _inferred_unc_db(raw, unc_db, eta) for name, raw in
                      (("inferred_sq_unc_db", raw_sq_db), ("inferred_asq_unc_db", raw_asq_db))}
@@ -212,4 +213,6 @@ def build_report(raw_sq_db, raw_asq_db, unc_db=0.05, *, factors):
 
 def report_to_json(report):
     """Serialise a report: its fields in declaration order, full-precision numbers."""
-    return json.dumps(asdict(report), indent=2) + "\n"
+    import json   # here, not at the top: only the commands that write a report pay for it
+
+    return json.dumps({name: getattr(report, name) for name, _ in report._fields}, indent=2) + "\n"

@@ -7,9 +7,9 @@ Numeric stdout is printed at full precision with a `.` decimal point.
 
 import argparse
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
 
+from ._record import MISSING
 from .budget import (
     EfficiencyBudget,
     build_report,
@@ -57,13 +57,13 @@ def cmd_simulate(args):
 
 def _factors_from_args(args):
     """The budget table of `analyze`: --eta alone, or an EfficiencyBudget of the flags given."""
-    budget = fields(EfficiencyBudget)   # one --eta-* flag per field, unset flags are None
-    flags = {f.name: getattr(args, f.name) for f in budget if getattr(args, f.name) is not None}
+    budget = EfficiencyBudget._fields   # one --eta-* flag per field, unset flags are None
+    flags = {name: getattr(args, name) for name, _ in budget if getattr(args, name) is not None}
     if args.eta is not None:
         if flags:
             raise ValueError("give either --eta or the per-factor budget flags, not both")
         return {"total": args.eta}
-    if any(f.default is MISSING and f.name not in flags for f in budget):
+    if any(default is MISSING and name not in flags for name, default in budget):
         raise ValueError("budget flags need --eta-fresnel, --eta-filter, --eta-pd and --eta-e")
     return EfficiencyBudget(**flags).factors()
 
@@ -114,8 +114,8 @@ def build_parser():
     p.add_argument("--asq-db", type=float, required=True, help="measured antisqueezing, dB")
     p.add_argument("--unc-db", type=float, default=0.05, help="measurement uncertainty, dB")
     p.add_argument("--eta", type=float, default=None, help="total measurement efficiency")
-    for field in fields(EfficiencyBudget):
-        p.add_argument("--" + field.name.replace("_", "-"), type=float)
+    for name, _ in EfficiencyBudget._fields:
+        p.add_argument("--" + name.replace("_", "-"), type=float)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("extrapolate", help="squeezing versus pump power")

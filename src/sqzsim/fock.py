@@ -17,9 +17,9 @@ Loss with efficiency eta is the generalised amplitude-damping family
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import Record
 from .conversions import check_unit
 
 DEFAULT_N_MAX = 60
@@ -31,8 +31,7 @@ class TruncationError(ValueError):
     """Raised when a requested state cannot be represented at the cutoff."""
 
 
-@dataclass(frozen=True, eq=False)
-class FockState:
+class FockState(Record, eq=False):
     """Single-mode density matrix truncated at photon number n_max."""
 
     rho: np.ndarray

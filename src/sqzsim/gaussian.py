@@ -18,9 +18,9 @@ an N-mode state instead of a dense 2N x 2N product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from ._numpy import np
+from ._record import Record
 from .conversions import _as_scalar_or_array, check_unit
 
 SYMMETRY_RTOL = 1e-12    # relative symmetry tolerance for covariance input
@@ -33,8 +33,7 @@ def symplectic_form(n_modes):
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianState:
+class GaussianState(Record, eq=False):
     """Covariance matrix of N optical modes, vacuum variance = 1."""
 
     cov: np.ndarray
@@ -57,20 +56,17 @@ class GaussianState:
         return self.cov.shape[0] // 2
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianChannel:
+class GaussianChannel(Record, eq=False):
     """Deterministic Gaussian channel (X, Y): cov -> X cov X^T + Y.
 
     Unifies symplectic operations (Y = 0) and losses. X and Y act on the
-    ordered `modes` of an `n_modes`-mode state; `GaussianChannel(X, Y)`
-    acts on all of them. Construction checks complete positivity,
+    ordered `modes` of an `n_modes`-mode state, two attributes `_place`
+    sets; `GaussianChannel(X, Y)` acts on all of them. Construction checks complete positivity,
     Y + i(Omega - X Omega X^T) >= 0.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    modes: tuple = field(init=False)
-    n_modes: int = field(init=False)
 
     def __post_init__(self):
         X = _square_matrix(self.X, "X")

@@ -11,15 +11,14 @@ depends only on M = rbw/vbw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import Record
 from .conversions import detected, from_db, to_db
 from .gaussian import quadrature_variance
 
 
-@dataclass(frozen=True, eq=False)
-class HomodyneTrace:
+class HomodyneTrace(Record, eq=False):
     """Sampled (LO phase, variance in dB) series."""
 
     phases: np.ndarray

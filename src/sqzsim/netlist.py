@@ -27,10 +27,11 @@ produced from vacuum, with 1.0 the pure minimum-uncertainty squeezer.
 > 0 and round-trip through `pretty_print`, but no computation reads them.
 Exactly one homodyne statement is required and nothing may follow it.
 
-Each statement kind is one `_ROWS` row (keyword, dataclass, cross-field
+Each statement kind is one `_ROWS` row (keyword, record class, cross-field
 check, channel builder) read by `parse`, `pretty_print` and `compile_spec`;
 `_KEYS` holds each key's value rule once. A new element is one row plus its
-dataclass. The statement dataclasses and `CircuitSpec` check themselves on
+record class, a frozen `_record.Record` whose `_fields` table the row
+reads. The statement records and `CircuitSpec` check themselves on
 construction with the parser's rules, so any spec is one `parse` accepts;
 `parse` itself checks each value once, as it reads it, and builds its
 statements through `_Row.trusted` and its spec without those checks.
@@ -50,9 +51,9 @@ import math
 import re
 import sys
 from collections import namedtuple
-from dataclasses import MISSING, dataclass, fields
 
 from ._numpy import np
+from ._record import MISSING, Record
 from .budget import pump_to_r
 from .gaussian import (
     coupler_channel,
@@ -90,8 +91,8 @@ class _StatementError(ValueError):
         self.kind, self.fields = kind, fields
 
 
-class _Statement:
-    """Base of the statement dataclasses: construction runs the checks `parse` makes on a statement.
+class _Statement(Record):
+    """Base of the statement records: construction runs the checks `parse` makes on a statement.
 
     Mode fields take a str and the others their `_KEYS` rule; then the row's check runs.
     """
@@ -109,7 +110,6 @@ class _Statement:
             row.check(self)
 
 
-@dataclass(frozen=True)
 class Squeezer(_Statement):
     mode: str
     r: float | None = None
@@ -122,27 +122,23 @@ class Squeezer(_Statement):
         return self.r if self.r is not None else pump_to_r(self.pump_mw, self.gain)
 
 
-@dataclass(frozen=True)
 class PhaseShift(_Statement):
     mode: str
     theta: float
 
 
-@dataclass(frozen=True)
 class Coupler(_Statement):
     mode_a: str
     mode_b: str
     ratio: float
 
 
-@dataclass(frozen=True)
 class Loss(_Statement):
     mode: str
     eta: float
     label: str | None = None
 
 
-@dataclass(frozen=True)
 class Homodyne(_Statement):
     mode: str
     eta_pd: float
@@ -156,8 +152,7 @@ class Homodyne(_Statement):
     sweep_time: float = 1.0
 
 
-@dataclass(frozen=True)
-class CircuitSpec:
+class CircuitSpec(Record):
     """Parsed netlist: declared modes, component statements in order, one measurement.
 
     `modes` must be distinct identifiers naming every mode used (else ValueError),
@@ -187,8 +182,7 @@ class CircuitSpec:
         _check_declared(self.measurement, declared)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementPlan:
+class MeasurementPlan(Record, eq=False):
     """Where to measure: mode index and LO phases."""
 
     mode: int
@@ -328,7 +322,7 @@ def _check_declared(st, declared):
 
 
 def _unchecked(cls, values):
-    """A `cls` dataclass holding `values`, built without its `__post_init__` checks."""
+    """A `cls` record holding `values`, built without its `__post_init__` checks."""
     obj = object.__new__(cls)
     vars(obj).update(values)
     return obj
@@ -337,15 +331,15 @@ def _unchecked(cls, values):
 class _Row:
     """One statement kind: how it is parsed, printed, checked and compiled.
 
-    Its dataclass fields with a `_KEYS` rule are its parameters, the others name modes.
+    Its record fields with a `_KEYS` rule are its parameters, the others name modes.
     """
 
     def __init__(self, keyword, cls, check=None, channel=None):
         self.keyword, self.cls = keyword, cls
         self.check = check       # statement -> None; raises _StatementError
         self.channel = channel   # (n_modes, mode name -> index, statement) -> GaussianChannel
-        self.mode_fields = tuple(f.name for f in fields(cls) if f.name not in _KEYS)
-        self.params = tuple((f.name, f.default, _KEYS[f.name].fault) for f in fields(cls) if f.name in _KEYS)
+        self.mode_fields = tuple(name for name, _ in cls._fields if name not in _KEYS)
+        self.params = tuple((name, default, _KEYS[name].fault) for name, default in cls._fields if name in _KEYS)
         self.keys = frozenset(key for key, _, _ in self.params)
         self.defaults = {key: default for key, default, _ in self.params if default is not MISSING}
         cls._row = self
@@ -381,7 +375,7 @@ def _statement(row, tokens, line, declared):
     count = len(row.mode_fields)
     if len(tokens) <= count:
         _err("unknown-keyword", line, head_col, f"{head} needs {count} mode name(s)")
-    values, cols = {}, {}   # the dataclass fields (mode names, then parameters) and their columns
+    values, cols = {}, {}   # the record fields (mode names, then parameters) and their columns
     for name, (text, col) in zip(row.mode_fields, tokens[1:]):
         if "=" in text:
             _err("unknown-keyword", line, col, f"expected a mode name, got '{text}'")

@@ -246,6 +246,8 @@ _ANALYZE_REJECTIONS = {
     # the inferred value is so large that the forward model no longer gives the raw one back
     ("2463.4233983981862", "52.091987960641106", "0.05", "1.9714629421149905e-228"):
         "loss-model inversion does not round-trip at 2463.4233983981862 dB",
+    # squeezing above antisqueezing: the two values are swapped
+    ("3", "-2", "0.05", "0.71"): "raw_sq_db 3.0 dB exceeds raw_asq_db -2.0 dB",
 }
 
 

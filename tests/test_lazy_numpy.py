@@ -1,5 +1,8 @@
 """numpy loads on first use: the scalar subcommands never import it, and every other path still works.
 
+Nor do they import `dataclasses` or `inspect`, and only `analyze` imports
+`json`, for its report.
+
 Each test runs a fresh interpreter with warnings as errors, because this
 suite itself imports numpy before sqzsim and so never takes the lazy path.
 """
@@ -22,14 +25,15 @@ PAPER = str(data_path("paper_chip.nl"))
 EXPECTED = json.loads(data_path("paper_expected.json").read_text(encoding="utf-8"))
 MALFORMED = benchmark_module("workloads").MALFORMED
 
-# runs the CLI, then says on the last stderr line whether numpy was loaded: a loaded
-# numpy has imported its submodules, a lazily registered one has none
+# runs the CLI, then names on the last stderr line which of the watched modules it
+# loaded: a loaded numpy has imported its submodules, a lazily registered one has none
 CLI = """
 import sys
 from sqzsim.cli import main
 code = main(sys.argv[1:])
-loaded = any(name.startswith("numpy.") for name in sys.modules)
-print("numpy loaded" if loaded else "numpy not loaded", file=sys.stderr)
+loaded = ["numpy"] * any(name.startswith("numpy.") for name in sys.modules)
+loaded += [name for name in ("dataclasses", "inspect", "json") if name in sys.modules]
+print("loaded:", *loaded, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -38,6 +42,13 @@ def _python(*args):
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True, text=True,
                           env=env, timeout=120)
+
+
+def _loaded(done):
+    """The watched modules that a run of `CLI` loaded, read off its last stderr line."""
+    last = done.stderr.splitlines()[-1].split()
+    assert last[0] == "loaded:", done.stderr
+    return set(last[1:])
 
 
 _BUDGET, _EXT = EXPECTED["budget_rounded"], EXPECTED["extrapolation"]
@@ -60,7 +71,10 @@ _ROWS = [
 def test_scalar_command_never_loads_numpy(argv, code):
     done = _python("-c", CLI, *argv)
     assert done.returncode == code, done.stderr
-    assert done.stderr.endswith("numpy not loaded\n")
+    loaded = _loaded(done)
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
+    if argv[0] != "analyze":   # only a report needs json
+        assert "json" not in loaded
 
 
 @pytest.mark.parametrize("kind,mutate", MALFORMED, ids=[kind for kind, _ in MALFORMED])
@@ -70,7 +84,7 @@ def test_malformed_netlist_is_rejected_without_numpy(tmp_path, kind, mutate):
     done = _python("-c", CLI, "validate", str(bad))
     assert done.returncode == 2, done.stderr
     assert f": {kind}: " in done.stderr
-    assert done.stderr.endswith("numpy not loaded\n")
+    assert _loaded(done) == set()
 
 
 def test_simulate_process_writes_the_in_process_bytes(tmp_path):

@@ -1,6 +1,5 @@
 """Netlist parsing, pretty-printing, compilation and totality properties."""
 
-import dataclasses
 import hashlib
 import math
 
@@ -379,7 +378,7 @@ def _netlist_text(parts):
 
 
 def _values(statement):
-    return {f.name: getattr(statement, f.name) for f in dataclasses.fields(statement)}
+    return {name: getattr(statement, name) for name, _ in statement._fields}
 
 
 @settings(max_examples=200)
