@@ -12,6 +12,7 @@ declared `class GaussianState(Record, eq=False)` compares by identity.
 This is the part of the standard `@dataclass(frozen=True)` that sqzsim
 uses, without importing its module (and with it `inspect`) or generating
 and `exec`ing source for each class, so a scalar CLI process starts sooner.
+`FrozenDict` is the mapping a hashable record holds as a field.
 """
 
 MISSING = object()   # default of a field that has none
@@ -71,3 +72,18 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name, _ in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenDict(dict):
+    """A dict that refuses change and hashes by its items; it prints, compares and serialises as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"'{type(self).__name__}' object is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):   # copy and pickle rebuild it whole, not item by item
+        return type(self), (dict(self),)

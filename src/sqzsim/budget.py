@@ -9,7 +9,7 @@ single-pass r = gain*sqrt(P) law.
 
 import math
 
-from ._record import Record
+from ._record import FrozenDict, Record
 from .conversions import check_unit, detected, from_db, to_db
 
 
@@ -132,7 +132,11 @@ def extrapolate_squeezing(gain, pump_mw, eta_eff=1.0):
 
 
 class SqueezingReport(Record):
-    """Raw and loss-corrected squeezing figures with the per-factor budget."""
+    """Raw and loss-corrected squeezing figures with the per-factor budget.
+
+    The budget is held as a read-only `FrozenDict` copy, so the report hashes
+    and no write to it can leave `eta_total` other than its product.
+    """
 
     raw_sq_db: float
     raw_asq_db: float
@@ -145,6 +149,9 @@ class SqueezingReport(Record):
     purity_product: float
     purity_product_db: float
     budget: dict
+
+    def __post_init__(self):
+        vars(self)["budget"] = FrozenDict(self.budget)
 
 
 def _inferred_unc_db(v_meas_db, unc_db, eta):

@@ -3,24 +3,16 @@
 Subcommands: validate, simulate, analyze, extrapolate, calibrate.
 Exit codes: 0 success, 2 domain or validation error, 3 I/O error.
 Numeric stdout is printed at full precision with a `.` decimal point.
+Sibling modules are bound as modules and their functions read at call
+time, so a command runs only the sqzsim modules it calls.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
+from . import budget, homodyne, netlist, simulate
 from ._record import MISSING
-from .budget import (
-    EfficiencyBudget,
-    build_report,
-    electronic_efficiency,
-    extrapolate_squeezing,
-    fresnel_efficiency,
-    report_to_json,
-)
-from .homodyne import write_trace_csv
-from .netlist import NetlistParseError, parse
-from .simulate import run_spec
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -33,22 +25,22 @@ def _fail(message, code):
 
 
 def cmd_validate(args):
-    parse(Path(args.netlist).read_bytes())
+    netlist.parse(Path(args.netlist).read_bytes())
     print(f"{args.netlist}: OK")
     return EXIT_OK
 
 
 def cmd_simulate(args):
-    spec = parse(Path(args.netlist).read_bytes())
+    spec = netlist.parse(Path(args.netlist).read_bytes())
     if not args.noiseless and args.seed is None:
         raise ValueError("--seed is required unless --noiseless is given")
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    trace, report = run_spec(spec, noiseless=args.noiseless, seed=args.seed)
+    trace, report = simulate.run_spec(spec, noiseless=args.noiseless, seed=args.seed)
     with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-        write_trace_csv(trace, fh)
+        homodyne.write_trace_csv(trace, fh)
     with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_json(report))
+        fh.write(budget.report_to_json(report))
     print(f"wrote {args.csv} ({trace.phases.size} points)")
     print(f"wrote {args.report}")
     print(f"raw squeezing {report.raw_sq_db!r} dB, antisqueezing {report.raw_asq_db!r} dB")
@@ -57,25 +49,25 @@ def cmd_simulate(args):
 
 def _factors_from_args(args):
     """The budget table of `analyze`: --eta alone, or an EfficiencyBudget of the flags given."""
-    budget = EfficiencyBudget._fields   # one --eta-* flag per field, unset flags are None
-    flags = {name: getattr(args, name) for name, _ in budget if getattr(args, name) is not None}
+    fields = budget.EfficiencyBudget._fields   # one --eta-* flag per field, unset flags are None
+    flags = {name: getattr(args, name) for name, _ in fields if getattr(args, name) is not None}
     if args.eta is not None:
         if flags:
             raise ValueError("give either --eta or the per-factor budget flags, not both")
         return {"total": args.eta}
-    if any(default is MISSING and name not in flags for name, default in budget):
+    if any(default is MISSING and name not in flags for name, default in fields):
         raise ValueError("budget flags need --eta-fresnel, --eta-filter, --eta-pd and --eta-e")
-    return EfficiencyBudget(**flags).factors()
+    return budget.EfficiencyBudget(**flags).factors()
 
 
 def cmd_analyze(args):
-    report = build_report(args.sq_db, args.asq_db, args.unc_db, factors=_factors_from_args(args))
-    sys.stdout.write(report_to_json(report))
+    report = budget.build_report(args.sq_db, args.asq_db, args.unc_db, factors=_factors_from_args(args))
+    sys.stdout.write(budget.report_to_json(report))
     return EXIT_OK
 
 
 def cmd_extrapolate(args):
-    print(repr(extrapolate_squeezing(args.gain, args.pump_mw, args.eta_eff)))
+    print(repr(budget.extrapolate_squeezing(args.gain, args.pump_mw, args.eta_eff)))
     return EXIT_OK
 
 
@@ -84,9 +76,9 @@ def cmd_calibrate(args):
         raise ValueError("give --snr-db and/or --n-chip")
     lines = []   # every value is computed before any is printed
     if args.snr_db is not None:
-        lines.append(f"eta_e {electronic_efficiency(args.snr_db)!r}")
+        lines.append(f"eta_e {budget.electronic_efficiency(args.snr_db)!r}")
     if args.n_chip is not None:
-        lines.append(f"eta_fresnel {fresnel_efficiency(args.n_air, args.n_chip)!r}")
+        lines.append(f"eta_fresnel {budget.fresnel_efficiency(args.n_air, args.n_chip)!r}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -114,7 +106,7 @@ def build_parser():
     p.add_argument("--asq-db", type=float, required=True, help="measured antisqueezing, dB")
     p.add_argument("--unc-db", type=float, default=0.05, help="measurement uncertainty, dB")
     p.add_argument("--eta", type=float, default=None, help="total measurement efficiency")
-    for name, _ in EfficiencyBudget._fields:
+    for name, _ in budget.EfficiencyBudget._fields:
         p.add_argument("--" + name.replace("_", "-"), type=float)
     p.set_defaults(func=cmd_analyze)
 
@@ -137,15 +129,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NetlistParseError as exc:
-        print(f"{args.netlist}:{exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except OSError as exc:
         return _fail(exc, EXIT_IO)
     except OverflowError as exc:   # the report's purity product beyond a double
         return _fail(f"numeric overflow in the report: {exc}", EXIT_DOMAIN)
     except ValueError as exc:
         return _fail(exc, EXIT_DOMAIN)
+    except netlist.NetlistParseError as exc:   # last: naming it loads netlist, which analyze never needs
+        print(f"{args.netlist}:{exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -52,16 +52,9 @@ import re
 import sys
 from collections import namedtuple
 
+from . import budget, gaussian, homodyne   # looked up at call time: parsing runs neither of the last two
 from ._numpy import np
 from ._record import MISSING, Record
-from .budget import pump_to_r
-from .gaussian import (
-    coupler_channel,
-    loss_channel,
-    phaseshift_channel,
-    squeezer_channel,
-)
-from .homodyne import phase_grid
 
 VERSION_HEADER = "# sqzsim netlist v1"
 MAX_SWEEP_POINTS = 100_000
@@ -119,7 +112,7 @@ class Squeezer(_Statement):
     excess: float = 1.0
 
     def effective_r(self):
-        return self.r if self.r is not None else pump_to_r(self.pump_mw, self.gain)
+        return self.r if self.r is not None else budget.pump_to_r(self.pump_mw, self.gain)
 
 
 class PhaseShift(_Statement):
@@ -354,12 +347,12 @@ class _Row:
 
 _ROWS = {row.keyword: row for row in (
     _Row("squeezer", Squeezer, _one_squeezing_source,
-         lambda n, at, st: squeezer_channel(n, at[st.mode], st.effective_r(), st.phase, st.excess)),
+         lambda n, at, st: gaussian.squeezer_channel(n, at[st.mode], st.effective_r(), st.phase, st.excess)),
     _Row("phaseshift", PhaseShift,
-         channel=lambda n, at, st: phaseshift_channel(n, at[st.mode], st.theta)),
+         channel=lambda n, at, st: gaussian.phaseshift_channel(n, at[st.mode], st.theta)),
     _Row("coupler", Coupler, _distinct_modes,
-         lambda n, at, st: coupler_channel(n, at[st.mode_a], at[st.mode_b], st.ratio)),
-    _Row("loss", Loss, channel=lambda n, at, st: loss_channel(n, at[st.mode], st.eta)),
+         lambda n, at, st: gaussian.coupler_channel(n, at[st.mode_a], at[st.mode_b], st.ratio)),
+    _Row("loss", Loss, channel=lambda n, at, st: gaussian.loss_channel(n, at[st.mode], st.eta)),
     _Row("homodyne", Homodyne, _bandwidths),
 )}
 _MEASUREMENT = _ROWS["homodyne"]
@@ -480,4 +473,4 @@ def compile_spec(spec):
     index = {name: i for i, name in enumerate(spec.modes)}
     channels = [st._row.channel(n, index, st) for st in spec.statements]
     m = spec.measurement
-    return channels, MeasurementPlan(mode=index[m.mode], phases=phase_grid(*m.sweep))
+    return channels, MeasurementPlan(mode=index[m.mode], phases=homodyne.phase_grid(*m.sweep))

@@ -1,5 +1,8 @@
 """The value classes as users see them: constructor binding, repr, equality, hashing and immutability."""
 
+import copy
+import pickle
+
 import pytest
 
 from sqzsim import (
@@ -78,6 +81,22 @@ def test_states_and_traces_compare_by_identity():
     assert len({state, GaussianState(state.cov)}) == 2   # hashable, by identity
     trace = HomodyneTrace([0.0, 1.0], [0.0, 1.0])
     assert trace == trace and trace != HomodyneTrace([0.0, 1.0], [0.0, 1.0])
+
+
+def test_report_budget_is_read_only_and_the_report_hashes():
+    report = build_report(-2.0, 2.8, 0.05, factors={"total": 0.71})
+    writes = [lambda b: b.__setitem__("total", 0.5), lambda b: b.__delitem__("total"),
+              lambda b: b.update(total=0.5), lambda b: b.setdefault("extra", 0.5),
+              lambda b: b.pop("total"), lambda b: b.popitem(), lambda b: b.clear()]
+    for write in writes:
+        with pytest.raises(TypeError, match="read-only"):
+            write(report.budget)
+    assert report.budget == {"total": 0.71} and report.eta_total == 0.71
+    again = build_report(-2.0, 2.8, 0.05, factors={"total": 0.71})
+    assert report == again and hash(report) == hash(again)
+    assert len({report, again, build_report(-2.0, 2.8, 0.05, factors={"total": 0.7})}) == 2
+    for clone in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert clone == report and report_to_json(clone) == report_to_json(report)
 
 
 def test_report_json_bytes():
