@@ -8,13 +8,13 @@ quadrature variance is normalised to 1, so dB values read directly off
 traces.
 
 `import sqzsim` runs none of the modules below: each is registered in
-`sys.modules` (as is numpy, by `_numpy`) and runs on first attribute use,
-so a command runs only the modules it calls. A public name is looked up
-in its module on every access and never stored here, so `sqzsim.parse`
-is always what `sqzsim.netlist.parse` is now.
+`sys.modules` and runs on first attribute use, so a command runs only the
+modules it calls, and numpy loads with the first array module that runs.
+A public name is looked up in its module on every access and never
+stored here, so `sqzsim.parse` is always what `sqzsim.netlist.parse` is now.
 """
 
-from . import _lazy, _numpy   # _numpy registers numpy, loaded on first use
+from . import _lazy
 
 # module -> the public names it exports through the package
 _EXPORTS = {

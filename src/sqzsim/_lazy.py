@@ -1,10 +1,11 @@
-"""Modules registered in `sys.modules` at once and run on first attribute use.
+"""sqzsim's submodules, registered in `sys.modules` at once and run on first attribute use.
 
-`lazy_import(name)` returns the module already imported under `name`, or
-registers one whose code runs when one of its attributes is first read.
-Registered, it is what a later `import name` anywhere returns, and a
-submodule is also set on its package, as an import would set it. Binding
-or passing the module runs nothing.
+`lazy_import(name)` returns the submodule already imported under `name`,
+or registers one whose code runs when one of its attributes is first
+read. Registered, it is what a later `import name` anywhere returns, and
+it is set on its package, as an import would set it. Binding or passing
+the module runs nothing. Third-party modules such as numpy are plain
+imports of the submodules that use them.
 
 The first read runs the code under one lock. Another thread that reads
 the module meanwhile waits until it is whole; reads by the loading thread
@@ -47,6 +48,5 @@ def lazy_import(name):
         module.__class__ = _LazyModule
         sys.modules[name] = module
         package, _, child = name.rpartition(".")
-        if package:
-            setattr(sys.modules[package], child, module)
+        setattr(sys.modules[package], child, module)
     return module

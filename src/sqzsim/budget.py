@@ -49,17 +49,18 @@ def fresnel_efficiency(n1, n2):
     """Facet transmission 1 - ((n1 - n2)/(n1 + n2))^2 at an index step."""
     if not (0 < n1 < math.inf and 0 < n2 < math.inf):
         raise ValueError(f"refractive indices must be positive and finite, got {n1!r}, {n2!r}")
+    if n1 + n2 == math.inf:   # halving both is exact there and keeps the sum finite
+        n1, n2 = n1 / 2.0, n2 / 2.0
     return 1.0 - ((n1 - n2) / (n1 + n2)) ** 2
 
 
 def electronic_efficiency(snr_db):
-    """Electronic-noise penalty (S - 1)/S for a shot-to-dark SNR given in dB."""
+    """Electronic-noise penalty (S - 1)/S for a shot-to-dark SNR in dB, as -expm1(-ln S): precise at low SNR."""
     if snr_db <= 0:
         raise ValueError("SNR must be positive (in dB); noise would swamp the signal")
-    snr = from_db(snr_db)
-    if not math.isfinite(snr):
+    if not math.isfinite(from_db(snr_db)):
         raise ValueError(f"SNR {snr_db!r} dB has no finite linear value")
-    return (snr - 1.0) / snr
+    return -math.expm1(-snr_db * math.log(10.0) / 10.0)
 
 
 def total_efficiency(factors):

@@ -3,18 +3,18 @@
 All variances are normalised to the vacuum (shot-noise) level: 10*log10(V) is
 the dB value on a squeezing trace, and efficiency eta takes V to eta*V + (1 - eta).
 Scalars come back as plain floats, arrays as arrays. An int or float goes
-through `math`, anything else through numpy, so a scalar command never loads it.
+through `math`, anything else through numpy, imported in that branch alone, so
+a scalar command never loads it.
 Both branches give the same edge values without a warning: to_db is -inf at 0
 and nan below 0, from_db is inf beyond a double.
 """
 
 import math
 
-from ._numpy import np
-
 
 def _as_scalar_or_array(value):
-    return float(value) if np.ndim(value) == 0 else value
+    """A numpy result as a float when it is 0-d, else as it is."""
+    return float(value) if value.ndim == 0 else value
 
 
 def check_unit(name, value):
@@ -35,6 +35,8 @@ def to_db(variance):
         if variance > 0.0:
             return 10.0 * math.log10(variance)
         return -math.inf if variance == 0.0 else math.nan
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         return _as_scalar_or_array(10.0 * np.log10(variance))
 
@@ -47,5 +49,7 @@ def from_db(db):
             return 10.0 ** exponent
         except OverflowError:
             return math.inf
+    import numpy as np
+
     with np.errstate(over="ignore"):
         return _as_scalar_or_array(10.0 ** (np.asarray(db, dtype=float) / 10.0))

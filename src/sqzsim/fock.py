@@ -14,11 +14,10 @@ Loss with efficiency eta is the generalised amplitude-damping family
     K_k |n> = sqrt(C(n, k) eta^{n-k} (1 - eta)^k) |n-k>
 """
 
-from __future__ import annotations
-
 import math
 
-from ._numpy import np
+import numpy as np
+
 from ._record import Record
 from .conversions import check_unit
 

@@ -15,11 +15,10 @@ it rewrites just those modes' rows and columns: O(N) work per element on
 an N-mode state instead of a dense 2N x 2N product.
 """
 
-from __future__ import annotations
-
 import math
 
-from ._numpy import np
+import numpy as np
+
 from ._record import Record
 from .conversions import _as_scalar_or_array, check_unit
 

@@ -8,11 +8,10 @@ dB, optionally dressed with the finite RBW/VBW estimator scatter, which
 depends only on M = rbw/vbw.
 """
 
-from __future__ import annotations
-
 import math
 
-from ._numpy import np
+import numpy as np
+
 from ._record import Record
 from .conversions import detected, from_db, to_db
 from .gaussian import quadrature_variance

@@ -53,7 +53,6 @@ import sys
 from collections import namedtuple
 
 from . import budget, gaussian, homodyne   # looked up at call time: parsing runs neither of the last two
-from ._numpy import np
 from ._record import MISSING, Record
 
 VERSION_HEADER = "# sqzsim netlist v1"
@@ -399,13 +398,16 @@ def _statement(row, tokens, line, declared):
 
 
 def parse(source):
-    """Parse netlist text (str or UTF-8/latin-1-tolerant bytes) into a CircuitSpec.
+    """Parse netlist text (str or UTF-8 bytes) into a CircuitSpec.
+
+    Bytes may start with a byte-order mark, which is skipped; undecodable
+    bytes are read as U+FFFD.
 
     Raises NetlistParseError with the position of the first offending token;
     never raises anything else, whatever the input.
     """
     if isinstance(source, (bytes, bytearray)):
-        source = bytes(source).decode("utf-8", errors="replace")
+        source = bytes(source).decode("utf-8-sig", errors="replace")
     lines = source.split("\n")
     declared = {}   # ordered, with O(1) lookups
     statements = []

@@ -7,7 +7,8 @@ scatter sqrt(2/M) * 10/ln(10) dB per point.
 
 import math
 
-from ._numpy import np
+import numpy as np
+
 from .budget import build_report
 from .gaussian import vacuum
 from .homodyne import detection_factors, effective_efficiency, sweep, synthesize_trace

@@ -45,6 +45,20 @@ def test_electronic_efficiency():
         electronic_efficiency(-3.0)
 
 
+def test_fresnel_efficiency_near_the_largest_double():
+    # n1 + n2 overflows a double here
+    for n1, n2 in ((1.7e308, 1e308), (1e308, 1.7e308)):
+        assert fresnel_efficiency(n1, n2) == pytest.approx(0.9327846364883402, rel=1e-15)
+
+
+def test_electronic_efficiency_keeps_precision_at_low_snr():
+    # here S - 1 loses most of its digits, at 1e-320 dB all of them
+    assert electronic_efficiency(1e-10) == pytest.approx(math.log(10.0) * 1e-11, rel=1e-9)
+    assert electronic_efficiency(1e-320) == pytest.approx(math.log(10.0) * 1e-321, rel=1e-2)
+    assert electronic_efficiency(1e-320) > 0.0
+    assert electronic_efficiency(12.8) == 0.9475192539750228
+
+
 def test_total_efficiency_reference_budget():
     assert total_efficiency(REFERENCE_BUDGET) == pytest.approx(0.7117704, rel=1e-12)
     assert abs(total_efficiency(REFERENCE_BUDGET) - 0.71) < 0.005

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sqzsim.simulate
-from sqzsim import HomodyneTrace, data_path
+from sqzsim import HomodyneTrace, data_path, parse
 from sqzsim.cli import main
 
 CHIP = data_path("paper_chip.nl")
@@ -29,6 +29,16 @@ def read_csv(path):
 
 def test_validate_ok(chip_file, capsys):
     assert main(["validate", str(chip_file)]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
+def test_netlist_with_a_byte_order_mark_is_the_same_netlist(tmp_path, capsys):
+    # some editors start every UTF-8 file with one
+    plain = CHIP.read_bytes()
+    assert parse(b"\xef\xbb\xbf" + plain) == parse(plain)
+    bom = tmp_path / "bom.nl"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain)
+    assert main(["validate", str(bom)]) == 0
     assert "OK" in capsys.readouterr().out
 
 

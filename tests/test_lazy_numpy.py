@@ -6,7 +6,7 @@ Nor do they import `dataclasses` or `inspect`, and only `analyze` imports
 or `fock`.
 
 Each test runs a fresh interpreter with warnings as errors, because this
-suite itself imports numpy before sqzsim and so never takes the lazy path.
+suite itself imports numpy and sqzsim's modules.
 """
 
 import io
@@ -28,15 +28,13 @@ EXPECTED = json.loads(data_path("paper_expected.json").read_text(encoding="utf-8
 MALFORMED = benchmark_module("workloads").MALFORMED
 
 # runs the CLI, then names on the last stderr line which of the watched modules it
-# loaded: a loaded numpy has imported its submodules, a lazily registered one has none,
-# and a sqzsim module that ran is a plain module (reading its type runs nothing)
+# loaded: a sqzsim module that ran is a plain module (reading its type runs nothing)
 CLI = """
 import sys
 import types
 from sqzsim.cli import main
 code = main(sys.argv[1:])
-loaded = ["numpy"] * any(name.startswith("numpy.") for name in sys.modules)
-loaded += [name for name in ("dataclasses", "inspect", "json") if name in sys.modules]
+loaded = [name for name in ("numpy", "dataclasses", "inspect", "json") if name in sys.modules]
 loaded += [name for name, module in sys.modules.items()
            if name.startswith("sqzsim.") and type(module) is types.ModuleType]
 print("loaded:", *loaded, file=sys.stderr)
@@ -177,10 +175,8 @@ def test_numpy_imported_after_sqzsim_works():
     done = _python("-c", """
 import sys
 import sqzsim
-assert not any(name.startswith("numpy.") for name in sys.modules)
-lazy = sys.modules["numpy"]
+assert "numpy" not in sys.modules
 import numpy
-assert numpy is lazy
 assert numpy.linalg.eigvalsh(numpy.diag([2.0, 1.0])).tolist() == [1.0, 2.0]
 assert sqzsim.vacuum(2).cov.tolist() == numpy.eye(4).tolist()
 """)
@@ -221,7 +217,7 @@ def test_numpy_imported_before_sqzsim_stays_the_same_module():
     done = _python("-c", """
 import sys
 import numpy
-import sqzsim._numpy
-assert sqzsim._numpy.np is numpy and sys.modules["numpy"] is numpy
+import sqzsim
+assert sqzsim.gaussian.np is numpy and sys.modules["numpy"] is numpy
 """)
     assert done.returncode == 0, done.stderr
