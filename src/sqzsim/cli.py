@@ -1,14 +1,21 @@
 """Command-line front-end.
 
 Subcommands: validate, simulate, analyze, extrapolate, calibrate.
-Exit codes: 0 success, 2 domain or validation error, 3 I/O error.
+Exit codes: 0 success, 2 usage, domain or validation error, 3 I/O error.
+Every failure is one `error: ...` line on stderr (a netlist parse error
+names its file instead).
+Arguments are read from one table, `_COMMANDS`. Flag names match exactly,
+`--flag value` and `--flag=value` are the same, and the token after a flag
+is always its value, so `--sq-db -2e0` reads a negative number. A repeated
+flag keeps its last value, and positionals may stand among the flags.
+`-h` or `--help`, alone or after a command, prints usage from the table.
 Numeric stdout is printed at full precision with a `.` decimal point.
 Sibling modules are bound as modules and their functions read at call
 time, so a command runs only the sqzsim modules it calls.
 """
 
-import argparse
 import sys
+import types
 from pathlib import Path
 
 from . import budget, homodyne, netlist, simulate
@@ -83,57 +90,123 @@ def cmd_calibrate(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="sqzsim",
-        description="Simulate chip squeezing netlists and analyse measured squeezing budgets.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, help, positional names, flag rows). A flag row is (attribute,
+# converter or None for a switch, default or MISSING when required, help).
+_COMMANDS = {
+    "validate": (cmd_validate, "check a netlist file", ("netlist",), ()),
+    "simulate": (cmd_simulate, "simulate a netlist to a trace CSV and report JSON", ("netlist",), (
+        ("csv", str, "trace.csv", "trace output path"),
+        ("report", str, "report.json", "report output path"),
+        ("seed", int, None, "noise seed for the synthesized trace"),
+        ("noiseless", None, False, "skip estimator-noise synthesis"))),
+    "analyze": (cmd_analyze, "loss-correct measured squeezing values", (), (
+        ("sq_db", float, MISSING, "measured squeezing, dB"),
+        ("asq_db", float, MISSING, "measured antisqueezing, dB"),
+        ("unc_db", float, 0.05, "measurement uncertainty, dB"),
+        ("eta", float, None, "total measurement efficiency"))),
+    "extrapolate": (cmd_extrapolate, "squeezing versus pump power", (), (
+        ("gain", float, MISSING, "single-pass gain, 1/sqrt(mW)"),
+        ("pump_mw", float, MISSING, "pump power, mW"),
+        ("eta_eff", float, 1.0, "total detection efficiency"))),
+    "calibrate": (cmd_calibrate, "compute individual chain efficiencies", (), (
+        ("snr_db", float, None, "electronic SNR in dB"),
+        ("n_chip", float, None, "chip refractive index"),
+        ("n_air", float, 1.0, "refractive index outside the chip"))),
+}
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("validate", help="check a netlist file")
-    p.add_argument("netlist")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", help="simulate a netlist to a trace CSV and report JSON")
-    p.add_argument("netlist")
-    p.add_argument("--csv", default="trace.csv", help="trace output path")
-    p.add_argument("--report", default="report.json", help="report output path")
-    p.add_argument("--seed", type=int, default=None, help="noise seed for the synthesized trace")
-    p.add_argument("--noiseless", action="store_true", help="skip estimator-noise synthesis")
-    p.set_defaults(func=cmd_simulate)
+def _flags(command):
+    """Flag -> row for a command. analyze's rows end with one per EfficiencyBudget field,
+    read only here, so that no other command runs `budget` for them."""
+    rows = _COMMANDS[command][3]
+    if command == "analyze":   # unset, each is None; EfficiencyBudget holds the defaults
+        rows += tuple((name, float, None, "required budget factor" if default is MISSING else
+                       f"optional budget factor, {default!r} if not given")
+                      for name, default in budget.EfficiencyBudget._fields)
+    return {"--" + row[0].replace("_", "-"): row for row in rows}
 
-    p = sub.add_parser("analyze", help="loss-correct measured squeezing values")
-    p.add_argument("--sq-db", type=float, required=True, help="measured squeezing, dB")
-    p.add_argument("--asq-db", type=float, required=True, help="measured antisqueezing, dB")
-    p.add_argument("--unc-db", type=float, default=0.05, help="measurement uncertainty, dB")
-    p.add_argument("--eta", type=float, default=None, help="total measurement efficiency")
-    for name, _ in budget.EfficiencyBudget._fields:
-        p.add_argument("--" + name.replace("_", "-"), type=float)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("extrapolate", help="squeezing versus pump power")
-    p.add_argument("--gain", type=float, required=True, help="single-pass gain, 1/sqrt(mW)")
-    p.add_argument("--pump-mw", type=float, required=True)
-    p.add_argument("--eta-eff", type=float, default=1.0)
-    p.set_defaults(func=cmd_extrapolate)
+def _help(command):
+    """Print the usage built from the table: the commands, or one command's arguments."""
+    if command is None:
+        lines = ["usage: sqzsim COMMAND ...; sqzsim COMMAND -h lists its flags",
+                 *(f"  {name:<12} {row[1]}" for name, row in _COMMANDS.items())]
+    else:
+        _, text, positionals, _ = _COMMANDS[command]
+        lines = [" ".join(["usage: sqzsim", command, *map(str.upper, positionals), "[FLAGS]"]), text]
+        for flag, (_, convert, default, note) in _flags(command).items():
+            if convert:   # a value flag, shown with its type
+                flag += " " + convert.__name__.upper()
+            if default is MISSING:
+                note += " (required)"
+            elif convert and default is not None:
+                note += f" (default {default})"
+            lines.append(f"  {flag:<24} {note}")
+    print("\n".join(lines))
+    return EXIT_OK
 
-    p = sub.add_parser("calibrate", help="compute individual chain efficiencies")
-    p.add_argument("--snr-db", type=float, default=None, help="electronic SNR in dB")
-    p.add_argument("--n-chip", type=float, default=None, help="chip refractive index")
-    p.add_argument("--n-air", type=float, default=1.0)
-    p.set_defaults(func=cmd_calibrate)
-    return parser
+
+def _read(argv):
+    """(handler, argument) for a command line: the command's handler and a namespace with a
+    value for each of its positionals and flags, or `_help` and the command it is asked for.
+    A usage error is a ValueError, so `main` prints it as one line."""
+    if not argv:
+        raise ValueError(f"give a command: {', '.join(_COMMANDS)} (sqzsim -h for help)")
+    command, *tokens = argv
+    if command in _HELP:
+        return _help, None
+    if command not in _COMMANDS:
+        raise ValueError(f"unknown command {command!r}: choose one of {', '.join(_COMMANDS)}")
+    handler, _, positionals, _ = _COMMANDS[command]
+    rows = _flags(command)
+    values = {name: default for name, _, default, _ in rows.values()}
+    given = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in _HELP:
+            return _help, command
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in rows:
+            raise ValueError(f"{command} has no flag {flag} (sqzsim {command} -h lists them)")
+        name, convert, _, _ = rows[flag]
+        if convert is None:   # a switch
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            values[name] = True
+            continue
+        if not eq:   # the next token is the value, whatever it looks like
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"{flag} needs a value")
+        try:
+            values[name] = convert(value)
+        except ValueError:
+            raise ValueError(f"{flag} {value!r} is not a valid {convert.__name__}") from None
+    if len(given) > len(positionals):
+        raise ValueError(f"unexpected argument {given[len(positionals)]!r}")
+    missing = [*map(str.upper, positionals[len(given):]),
+               *(flag for flag, row in rows.items() if values[row[0]] is MISSING)]
+    if missing:
+        raise ValueError(f"{command} needs {' and '.join(missing)}")
+    return handler, types.SimpleNamespace(**values, **dict(zip(positionals, given)))
 
 
 def main(argv=None):
-    """Run one subcommand; each error kind is mapped to its message and exit code here."""
-    args = build_parser().parse_args(argv)
+    """Run one command line; each error kind is mapped to its one stderr line and exit code here."""
     try:
-        return args.func(args)
+        handler, args = _read(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
+    except MemoryError as exc:   # e.g. the dense state of more modes than memory holds
+        return _fail("not enough memory" + (f": {exc}" if str(exc) else ""), EXIT_DOMAIN)
     except OverflowError as exc:   # the report's purity product beyond a double
         return _fail(f"numeric overflow in the report: {exc}", EXIT_DOMAIN)
-    except ValueError as exc:
+    except ValueError as exc:   # usage errors included
         return _fail(exc, EXIT_DOMAIN)
     except netlist.NetlistParseError as exc:   # last: naming it loads netlist, which analyze never needs
         print(f"{args.netlist}:{exc}", file=sys.stderr)

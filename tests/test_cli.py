@@ -1,17 +1,27 @@
 """Command-line contract: exit codes, output formats, reproducibility."""
 
+import contextlib
+import io
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sqzsim.simulate
 from sqzsim import HomodyneTrace, data_path, parse
-from sqzsim.cli import main
+from sqzsim.cli import _COMMANDS, _flags, main
 
 CHIP = data_path("paper_chip.nl")
+SRC = str(Path(sqzsim.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -156,6 +166,27 @@ def test_simulate_overflowing_report_exits_2(tmp_path, capsys):
     assert main(["simulate", str(netlist), "--noiseless",
                  "--csv", str(csv), "--report", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not csv.exists()
+
+
+def test_simulate_beyond_memory_is_one_error_line(tmp_path):
+    # 20 000 modes: the dense vacuum alone is 11.9 GiB, past the child's 2 GiB address space
+    resource = pytest.importorskip("resource")
+    netlist = tmp_path / "wide.nl"
+    netlist.write_text("modes: " + " ".join(f"m{i}" for i in range(20000)) + "\nsqueezer m0 r=0.5\n"
+                       "homodyne m0 eta_pd=0.9 eta_e=0.9 ratio=0.5 sweep=0:3:8\n")
+    csv = tmp_path / "t.csv"
+
+    def limit_memory():   # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "sqzsim.cli", "simulate", str(netlist), "--noiseless",
+                           "--csv", str(csv), "--report", str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+                          env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: not enough memory") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and done.stdout == ""
     assert not csv.exists()
 
 
@@ -343,10 +374,89 @@ def test_scalar_commands_reject_non_finite_results(argv, capsys):
     assert captured.out == ""
 
 
-def test_bad_arguments_exit_2():
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["analyze", "--sq-db", "-2"])  # missing required --asq-db
-    assert info.value.code == 2
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["analyze", "--sq-db", "-2"], ["extrapolate", "--gain", "1", "--pump", "4"],
+    ["extrapolate", "--gain"], ["extrapolate", "--gain", "x", "--pump-mw", "4"],
+    ["simulate", str(CHIP), "--seed", "1.5"], ["simulate", str(CHIP), "--noiseless=1"],
+    ["simulate", str(CHIP), "--noise"], ["validate"], ["validate", str(CHIP), str(CHIP)],
+], ids=["none", "unknown-command", "missing-flag", "unknown-flag", "no-value", "not-a-float",
+        "not-an-int", "switch-with-value", "prefix", "missing-positional", "extra-positional"])
+def test_bad_arguments_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([command, "-h"] for command in _COMMANDS)],
+                         ids=["-h", "--help", *_COMMANDS])
+def test_help_names_every_argument_and_exits_0(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if len(argv) == 1:
+        names = list(_COMMANDS)
+    else:   # the positionals, then the flags
+        names = [*(name.upper() for name in _COMMANDS[argv[0]][2]), *_flags(argv[0])]
+    assert names and all(name in captured.out.split() for name in names)
+
+
+def test_flag_values_read_as_written(capsys):
+    # the token after a flag is its value, a negative exponent form included
+    outs = []
+    for argv in (["--sq-db", "-2e0", "--asq-db", "2.8", "--eta", "0.71"],
+                 ["--sq-db=-2e0", "--asq-db=2.8", "--eta=0.71"],
+                 ["--eta", "0.5", "--asq-db", "2.8", "--sq-db", "-2", "--eta", "0.71"]):
+        assert main(["analyze", *argv]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["raw_sq_db"] == -2.0
+    assert main(["extrapolate", "--gain", "-1e-3", "--pump-mw", "40"]) == 2
+    assert "got 40.0, -0.001" in capsys.readouterr().err
+
+
+def test_positionals_stand_among_the_flags(tmp_path, capsys):
+    csv, report = tmp_path / "trace.csv", tmp_path / "report.json"
+    assert main(["simulate", "--noiseless", "--csv", str(csv), str(CHIP), "--report", str(report)]) == 0
+    assert csv.exists() and report.exists()
+    assert capsys.readouterr().err == ""
+
+
+# edge values of the scalar commands' float flags, exponent-form negatives among them
+_EDGES = st.sampled_from(["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.2e-308", "1e308", "-1e308",
+                          "1.7976931348623157e308", "nan", "-nan", "inf", "-inf", "-2e0", "-1e-3", "2.8",
+                          "0.71", "1", "-2", "12.8", "2.211", "0.058014", "500"])
+
+
+def _command(name, *flags):
+    """argv for the command `name` with an edge value drawn for each of its flags."""
+    return st.tuples(*[_EDGES] * len(flags)).map(
+        lambda values: [name, *(token for pair in zip(flags, values) for token in pair)])
+
+
+_SCALAR_ARGV = st.one_of(
+    _command("analyze", "--sq-db", "--asq-db", "--unc-db", "--eta"),
+    _command("analyze", "--sq-db", "--asq-db", "--eta-fresnel", "--eta-filter", "--eta-pd", "--eta-e"),
+    _command("extrapolate", "--gain", "--pump-mw", "--eta-eff"),
+    _command("calibrate", "--snr-db", "--n-chip", "--n-air"),
+)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_SCALAR_ARGV)
+def test_scalar_commands_keep_the_one_line_contract(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 2)
+    if code == 0:
+        assert err == "" and not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), out
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    # --flag v and --flag=v are one argument
+    joined = [argv[0], *(f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2]))]
+    assert _run(joined) == (code, out, err)

@@ -1,9 +1,10 @@
 """numpy and sqzsim's modules load on first use: scalar commands never import numpy, and every path works.
 
 Nor do they import `dataclasses` or `inspect`, and only `analyze` imports
-`json`, for its report. Of sqzsim's modules, only `validate` runs
-`netlist`, and no scalar command runs `gaussian`, `homodyne`, `simulate`
-or `fock`.
+`json`, for its report. No command imports `argparse`, `simulate` included.
+Of sqzsim's modules, only `validate` runs `netlist`, and it alone does not
+run `budget`; no scalar command runs `gaussian`, `homodyne`, `simulate` or
+`fock`.
 
 Each test runs a fresh interpreter with warnings as errors, because this
 suite itself imports numpy and sqzsim's modules.
@@ -34,7 +35,7 @@ import sys
 import types
 from sqzsim.cli import main
 code = main(sys.argv[1:])
-loaded = [name for name in ("numpy", "dataclasses", "inspect", "json") if name in sys.modules]
+loaded = [name for name in ("numpy", "dataclasses", "inspect", "json", "argparse") if name in sys.modules]
 loaded += [name for name, module in sys.modules.items()
            if name.startswith("sqzsim.") and type(module) is types.ModuleType]
 print("loaded:", *loaded, file=sys.stderr)
@@ -78,10 +79,20 @@ def test_scalar_command_never_loads_numpy(argv, code):
     done = _python("-c", CLI, *argv)
     assert done.returncode == code, done.stderr
     loaded = _loaded(done)
-    assert not loaded & ({"numpy", "dataclasses", "inspect"} | ARRAY_MODULES)
+    assert not loaded & ({"numpy", "dataclasses", "inspect", "argparse"} | ARRAY_MODULES)
     if argv[0] != "analyze":   # only a report needs json
         assert "json" not in loaded
     assert ("sqzsim.netlist" in loaded) == (argv[0] == "validate")
+    assert ("sqzsim.budget" in loaded) == (argv[0] != "validate")
+
+
+def test_simulate_process_loads_no_argparse(tmp_path):
+    done = _python("-c", CLI, "simulate", PAPER, "--noiseless",
+                   "--csv", str(tmp_path / "trace.csv"), "--report", str(tmp_path / "report.json"))
+    assert done.returncode == 0, done.stderr
+    loaded = _loaded(done)
+    assert "argparse" not in loaded
+    assert {"numpy", "sqzsim.simulate", "sqzsim.budget"} <= loaded
 
 
 @pytest.mark.parametrize("kind,mutate", MALFORMED, ids=[kind for kind, _ in MALFORMED])
@@ -92,7 +103,8 @@ def test_malformed_netlist_is_rejected_without_numpy(tmp_path, kind, mutate):
     assert done.returncode == 2, done.stderr
     assert f": {kind}: " in done.stderr
     loaded = _loaded(done)
-    assert not loaded & ({"numpy", "dataclasses", "inspect", "json"} | ARRAY_MODULES)
+    assert not loaded & ({"numpy", "dataclasses", "inspect", "json", "argparse", "sqzsim.budget"}
+                         | ARRAY_MODULES)
     assert "sqzsim.netlist" in loaded
 
 
