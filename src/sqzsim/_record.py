@@ -3,16 +3,21 @@
 A subclass's own annotations, in order, are its fields; a class attribute of
 the same name is that field's default. `cls._fields` is the one field
 table, a `(name, default)` pair per field with `MISSING` where there is no
-default. An instance takes its fields positionally or by keyword, runs
-`__post_init__`, refuses assignment and prints as `Loss(mode='sig',
-eta=0.99, label=None)`. With `eq=True` (the default) records of the same
-class are equal, and hash alike, when their field tuples are; a class
-declared `class GaussianState(Record, eq=False)` compares by identity.
+default; `cls._defaults` maps each field that has one to it. An instance
+takes its fields positionally or by keyword, runs `__post_init__`, refuses
+assignment and prints as `Loss(mode='sig', eta=0.99, label=None)`. With
+`eq=True` (the default) records of the same class are equal, and hash
+alike, when their field tuples are; a class declared
+`class GaussianState(Record, eq=False)` compares by identity.
+`cls._trusted(**fields)` is the one constructor that skips `__post_init__`,
+for values already checked. A `__post_init__` that normalises a field
+stores it with `vars(self).update`.
 
 This is the part of the standard `@dataclass(frozen=True)` that sqzsim
 uses, without importing its module (and with it `inspect`) or generating
 and `exec`ing source for each class, so a scalar CLI process starts sooner.
-`FrozenDict` is the mapping a hashable record holds as a field.
+`FrozenDict` is the mapping a hashable record holds as a field, and
+`read_only` turns off writing to an array a record holds.
 """
 
 MISSING = object()   # default of a field that has none
@@ -34,10 +39,12 @@ def _hash(self):
 
 class Record:
     _fields = ()
+    _defaults = {}
 
     def __init_subclass__(cls, eq=True, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple((name, vars(cls).get(name, MISSING)) for name in cls.__annotations__)
+        cls._defaults = {name: default for name, default in cls._fields if default is not MISSING}
         if eq:
             cls.__eq__, cls.__hash__ = _eq, _hash
 
@@ -59,6 +66,15 @@ class Record:
         if kwargs:
             raise TypeError(f"{call} got an unexpected keyword argument '{next(iter(kwargs))}'")
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, **fields):
+        """A record of the defaults and then `fields`, built without the `__post_init__` checks."""
+        record = object.__new__(cls)
+        state = record.__dict__
+        state.update(cls._defaults)
+        state.update(fields)
+        return record
 
     def __post_init__(self):
         """Checks and normalises the fields after `__init__` binds them; subclasses override it."""
@@ -87,3 +103,9 @@ class FrozenDict(dict):
 
     def __reduce__(self):   # copy and pickle rebuild it whole, not item by item
         return type(self), (dict(self),)
+
+
+def read_only(array):
+    """A numpy `array` with writing turned off, so a record that holds it stays frozen."""
+    array.setflags(write=False)
+    return array

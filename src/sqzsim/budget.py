@@ -152,7 +152,7 @@ class SqueezingReport(Record):
     budget: dict
 
     def __post_init__(self):
-        vars(self)["budget"] = FrozenDict(self.budget)
+        vars(self).update(budget=FrozenDict(self.budget))
 
 
 def _inferred_unc_db(v_meas_db, unc_db, eta):

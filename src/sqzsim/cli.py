@@ -14,9 +14,9 @@ Sibling modules are bound as modules and their functions read at call
 time, so a command runs only the sqzsim modules it calls.
 """
 
+import os
 import sys
 import types
-from pathlib import Path
 
 from . import budget, homodyne, netlist, simulate
 from ._record import MISSING
@@ -31,23 +31,38 @@ def _fail(message, code):
     return code
 
 
+def _spec(path):
+    """The parsed netlist file; `open` names an empty path as itself ('' rather than '.')."""
+    with open(path, "rb") as fh:
+        return netlist.parse(fh.read())
+
+
 def cmd_validate(args):
-    netlist.parse(Path(args.netlist).read_bytes())
+    _spec(args.netlist)
     print(f"{args.netlist}: OK")
     return EXIT_OK
 
 
 def cmd_simulate(args):
-    spec = netlist.parse(Path(args.netlist).read_bytes())
+    spec = _spec(args.netlist)
     if not args.noiseless and args.seed is None:
         raise ValueError("--seed is required unless --noiseless is given")
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if os.path.realpath(args.csv) == os.path.realpath(args.report):
+        raise ValueError(f"--csv and --report name the same file {args.report!r}")
     trace, report = simulate.run_spec(spec, noiseless=args.noiseless, seed=args.seed)
+    report_text = budget.report_to_json(report)
+    csv_is_new = not os.path.lexists(args.csv)
     with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
         homodyne.write_trace_csv(trace, fh)
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(budget.report_to_json(report))
+    try:
+        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(report_text)
+    except OSError:   # the two outputs are written both or not at all
+        if csv_is_new:
+            os.remove(args.csv)
+        raise
     print(f"wrote {args.csv} ({trace.phases.size} points)")
     print(f"wrote {args.report}")
     print(f"raw squeezing {report.raw_sq_db!r} dB, antisqueezing {report.raw_asq_db!r} dB")

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, read_only
 from .conversions import check_unit
 
 DEFAULT_N_MAX = 60
@@ -46,8 +46,7 @@ class FockState(Record, eq=False):
             raise ValueError(f"trace {trace} outside [1 - 1e-6, 1]")
         if float(np.linalg.eigvalsh(rho).min()) < -1e-9:
             raise ValueError("rho is not positive semidefinite")
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
+        vars(self).update(rho=read_only(rho))
 
     @property
     def n_max(self):

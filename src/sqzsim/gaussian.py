@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, read_only
 from .conversions import _as_scalar_or_array, check_unit
 
 SYMMETRY_RTOL = 1e-12    # relative symmetry tolerance for covariance input
@@ -41,14 +41,10 @@ class GaussianState(Record, eq=False):
         cov = _square_matrix(self.cov, "cov")
         if not np.isfinite(cov).all():
             raise ValueError("state contains non-finite values")
-        self._store(_symmetrised(cov, "covariance matrix is not symmetric"))
+        vars(self).update(cov=read_only(_symmetrised(cov, "covariance matrix is not symmetric")))
         test = self.cov + 1j * symplectic_form(self.n_modes)
         if float(np.linalg.eigvalsh(test).min()) < UNCERTAINTY_TOL:
             raise ValueError("covariance matrix violates the uncertainty relation")
-
-    def _store(self, cov):
-        cov.setflags(write=False)
-        vars(self)["cov"] = cov
 
     @property
     def n_modes(self):
@@ -59,7 +55,7 @@ class GaussianChannel(Record, eq=False):
     """Deterministic Gaussian channel (X, Y): cov -> X cov X^T + Y.
 
     Unifies symplectic operations (Y = 0) and losses. X and Y act on the
-    ordered `modes` of an `n_modes`-mode state, two attributes `_place`
+    ordered `modes` of an `n_modes`-mode state, two attributes `_element`
     sets; `GaussianChannel(X, Y)` acts on all of them. Construction checks complete positivity,
     Y + i(Omega - X Omega X^T) >= 0.
     """
@@ -76,25 +72,11 @@ class GaussianChannel(Record, eq=False):
             raise ValueError("channel contains non-finite values")
         Y = _symmetrised(Y, "Y must be symmetric")
         n_modes = X.shape[0] // 2
-        self._place(X, Y, n_modes, tuple(range(n_modes)))
+        vars(self).update(vars(_element(X, Y, n_modes, tuple(range(n_modes)))))   # the element on every mode
         omega = symplectic_form(self.n_modes)
         test = self.Y + 1j * (omega - self.X @ omega @ self.X.T)
         if float(np.linalg.eigvalsh(test).min()) < CP_TOL:
             raise ValueError("channel is not completely positive")
-
-    def _place(self, X, Y, n_modes, modes):
-        """Store the read-only blocks, their modes and the row indices `apply` rewrites.
-
-        The rows are a slice when they are contiguous (indexing gives views)
-        and an index array otherwise, which numpy gathers faster than a list.
-        """
-        if modes == tuple(range(modes[0], modes[0] + len(modes))):
-            rows = slice(2 * modes[0], 2 * (modes[0] + len(modes)))
-        else:
-            rows = np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp)
-        X.setflags(write=False)
-        Y.setflags(write=False)
-        vars(self).update(X=X, Y=Y, modes=modes, n_modes=n_modes, _rows=rows)
 
     def apply(self, state):
         """The output state; only the rows and columns of `modes` are recomputed.
@@ -117,7 +99,7 @@ class GaussianChannel(Record, eq=False):
         cov = state.cov.copy()
         cov[rows] = new_rows
         cov[:, rows] = new_rows.T
-        return _unchecked_state(cov)
+        return GaussianState._trusted(cov=read_only(cov))
 
 
 def _square_matrix(matrix, name):
@@ -140,29 +122,27 @@ def _symmetrised(matrix, message):
     return np.where(matrix == matrix.T, matrix, half + half_t)
 
 
-def _unchecked_state(cov):
-    """Frozen, unchecked GaussianState: for the vacuum and `apply`'s output, physical by construction."""
-    state = object.__new__(GaussianState)
-    state._store(cov)
-    return state
-
-
 def _element(X, Y, n_modes, modes):
-    """Element channel: its (X, Y) block on the ordered `modes` of an n_modes-mode state.
+    """Element channel: its read-only (X, Y) block on the ordered `modes` of an n_modes-mode state.
 
     Finite, completely positive and Y exactly symmetric by construction
     from scalars the builders have checked, so nothing is checked here.
+    It also stores the row indices `apply` rewrites: a slice when they are
+    contiguous (indexing gives views) and an index array otherwise, which
+    numpy gathers faster than a list.
     """
-    channel = object.__new__(GaussianChannel)
-    channel._place(X, Y, n_modes, modes)
-    return channel
+    if modes == tuple(range(modes[0], modes[0] + len(modes))):
+        rows = slice(2 * modes[0], 2 * (modes[0] + len(modes)))
+    else:
+        rows = np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp)
+    return GaussianChannel._trusted(X=read_only(X), Y=read_only(Y), modes=modes, n_modes=n_modes, _rows=rows)
 
 
 def vacuum(n_modes):
     """N-mode vacuum: identity covariance."""
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    return _unchecked_state(np.eye(2 * n_modes))
+    return GaussianState._trusted(cov=read_only(np.eye(2 * n_modes)))
 
 
 def _check_mode(n_modes, mode):

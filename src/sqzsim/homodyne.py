@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, read_only
 from .conversions import detected, from_db, to_db
 from .gaussian import quadrature_variance
 
@@ -28,10 +28,7 @@ class HomodyneTrace(Record, eq=False):
         variance_db = np.array(self.variance_db, dtype=float)
         if phases.ndim != 1 or phases.shape != variance_db.shape:
             raise ValueError("phases and variance_db must be 1-D arrays of equal length")
-        phases.setflags(write=False)
-        variance_db.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "variance_db", variance_db)
+        vars(self).update(phases=read_only(phases), variance_db=read_only(variance_db))
 
 
 def detection_factors(homodyne):

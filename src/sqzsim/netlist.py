@@ -27,14 +27,15 @@ produced from vacuum, with 1.0 the pure minimum-uncertainty squeezer.
 > 0 and round-trip through `pretty_print`, but no computation reads them.
 Exactly one homodyne statement is required and nothing may follow it.
 
-Each statement kind is one `_ROWS` row (keyword, record class, cross-field
-check, channel builder) read by `parse`, `pretty_print` and `compile_spec`;
-`_KEYS` holds each key's value rule once. A new element is one row plus its
-record class, a frozen `_record.Record` whose `_fields` table the row
-reads. The statement records and `CircuitSpec` check themselves on
+Each statement kind is one `_Statement` subclass, a frozen `_record.Record`
+declared with its keyword. Its fields, its cross-field `_check` and its
+`_channel` builder are what `parse`, `pretty_print` and `compile_spec`
+read; `_KEYS` holds each key's value rule once. A new element is one
+class. The statement records and `CircuitSpec` check themselves on
 construction with the parser's rules, so any spec is one `parse` accepts;
 `parse` itself checks each value once, as it reads it, and builds its
-statements through `_Row.trusted` and its spec without those checks.
+statements and spec with `Record._trusted`, running only each statement's
+`_check`.
 
 Errors carry a position and one of six kinds: unknown-keyword,
 undeclared-mode, bad-number, out-of-range, duplicate-measurement,
@@ -81,104 +82,6 @@ class _StatementError(ValueError):
     def __init__(self, kind, fields, message):
         super().__init__(message)
         self.kind, self.fields = kind, fields
-
-
-class _Statement(Record):
-    """Base of the statement records: construction runs the checks `parse` makes on a statement.
-
-    Mode fields take a str and the others their `_KEYS` rule; then the row's check runs.
-    """
-
-    def __post_init__(self):
-        row = self._row
-        for name in row.mode_fields:
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name}={getattr(self, name)!r} is not a mode name")
-        for key, default, fault in row.params:
-            value = getattr(self, key)
-            if value is not default and (message := fault(key, value, None)) is not None:
-                raise ValueError(message)
-        if row.check is not None:
-            row.check(self)
-
-
-class Squeezer(_Statement):
-    mode: str
-    r: float | None = None
-    pump_mw: float | None = None
-    gain: float | None = None
-    phase: float = 0.0
-    excess: float = 1.0
-
-    def effective_r(self):
-        return self.r if self.r is not None else budget.pump_to_r(self.pump_mw, self.gain)
-
-
-class PhaseShift(_Statement):
-    mode: str
-    theta: float
-
-
-class Coupler(_Statement):
-    mode_a: str
-    mode_b: str
-    ratio: float
-
-
-class Loss(_Statement):
-    mode: str
-    eta: float
-    label: str | None = None
-
-
-class Homodyne(_Statement):
-    mode: str
-    eta_pd: float
-    eta_e: float
-    ratio: float
-    sweep: tuple
-    visibility: float = 1.0
-    rbw: float = 1.0e5
-    vbw: float = 30.0
-    center_freq: float = 2.0e6
-    sweep_time: float = 1.0
-
-
-class CircuitSpec(Record):
-    """Parsed netlist: declared modes, component statements in order, one measurement.
-
-    `modes` must be distinct identifiers naming every mode used (else ValueError),
-    `statements` a tuple of elements and `measurement` a `Homodyne` (else TypeError).
-    """
-
-    modes: tuple
-    statements: tuple
-    measurement: Homodyne
-
-    def __post_init__(self):
-        modes = self.modes
-        if not (isinstance(modes, tuple) and modes
-                and all(isinstance(name, str) and _IDENT.match(name) for name in modes)
-                and len(set(modes)) == len(modes)):
-            raise ValueError(f"modes must be a non-empty tuple of distinct lowercase identifiers, "
-                             f"got {modes!r}")
-        if not isinstance(self.statements, tuple):
-            raise TypeError(f"statements must be a tuple, got {type(self.statements).__name__}")
-        declared = frozenset(modes)
-        for st in self.statements:
-            if not isinstance(st, _Statement) or isinstance(st, Homodyne):
-                raise TypeError(f"unknown statement type {type(st).__name__}")
-            _check_declared(st, declared)
-        if not isinstance(self.measurement, Homodyne):
-            raise TypeError(f"measurement must be a Homodyne, got {type(self.measurement).__name__}")
-        _check_declared(self.measurement, declared)
-
-
-class MeasurementPlan(Record, eq=False):
-    """Where to measure: mode index and LO phases."""
-
-    mode: int
-    phases: np.ndarray
 
 
 def _err(kind, line, col, message):
@@ -286,89 +189,166 @@ def _missing(keyword, keys):
     return _StatementError("unknown-keyword", (), message)
 
 
-def _one_squeezing_source(st):
-    if st.r is not None:
-        if st.pump_mw is not None or st.gain is not None:
-            raise _StatementError("unknown-keyword", ("r",), "give either r or pump_mw with gain, not both")
-    elif st.pump_mw is None or st.gain is None:
-        raise _missing("squeezer", [key for key in ("pump_mw", "gain") if getattr(st, key) is None])
+_KINDS = {}   # keyword -> statement class, filled as each class is declared
 
 
-def _distinct_modes(st):
-    if st.mode_a == st.mode_b:
-        raise _StatementError("out-of-range", ("mode_b",), "coupler requires two distinct modes")
+class _Statement(Record):
+    """Base of the statement kinds, one class each: `class Loss(_Statement, keyword="loss")`.
+
+    Fields with a `_KEYS` rule are the kind's `_params`, name -> (default, fault); the others name modes.
+    `_channel(n, at)` is its GaussianChannel on n modes, `at` giving a mode's index.
+    Construction checks mode fields are str and the others obey their rule, then runs `_check`.
+    """
+
+    def __init_subclass__(cls, keyword, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._keyword = keyword
+        cls._mode_fields = tuple(name for name, _ in cls._fields if name not in _KEYS)
+        cls._params = {name: (default, _KEYS[name].fault) for name, default in cls._fields if name in _KEYS}
+        _KINDS[keyword] = cls
+
+    def __post_init__(self):
+        for name in self._mode_fields:
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name}={getattr(self, name)!r} is not a mode name")
+        for key, (default, fault) in self._params.items():
+            value = getattr(self, key)
+            if value is not default and (message := fault(key, value, None)) is not None:
+                raise ValueError(message)
+        self._check()
+
+    def _check(self):
+        """Raises _StatementError when the fields disagree; a kind with such a rule overrides it."""
 
 
-def _bandwidths(st):
-    if st.vbw > st.rbw:
-        raise _StatementError("out-of-range", ("vbw", "rbw"), f"vbw={st.vbw} exceeds rbw={st.rbw}")
-    if not math.isfinite(st.rbw / st.vbw):
-        raise _StatementError("out-of-range", ("vbw", "rbw"),
-                              f"rbw/vbw overflows: rbw={st.rbw}, vbw={st.vbw}")
+class Squeezer(_Statement, keyword="squeezer"):
+    mode: str
+    r: float | None = None
+    pump_mw: float | None = None
+    gain: float | None = None
+    phase: float = 0.0
+    excess: float = 1.0
+
+    def effective_r(self):
+        return self.r if self.r is not None else budget.pump_to_r(self.pump_mw, self.gain)
+
+    def _check(self):
+        if self.r is not None:
+            if self.pump_mw is not None or self.gain is not None:
+                raise _StatementError("unknown-keyword", ("r",), "give either r or pump_mw with gain, not both")
+        elif self.pump_mw is None or self.gain is None:
+            raise _missing("squeezer", [key for key in ("pump_mw", "gain") if getattr(self, key) is None])
+
+    def _channel(self, n, at):
+        return gaussian.squeezer_channel(n, at[self.mode], self.effective_r(), self.phase, self.excess)
+
+
+class PhaseShift(_Statement, keyword="phaseshift"):
+    mode: str
+    theta: float
+
+    def _channel(self, n, at):
+        return gaussian.phaseshift_channel(n, at[self.mode], self.theta)
+
+
+class Coupler(_Statement, keyword="coupler"):
+    mode_a: str
+    mode_b: str
+    ratio: float
+
+    def _check(self):
+        if self.mode_a == self.mode_b:
+            raise _StatementError("out-of-range", ("mode_b",), "coupler requires two distinct modes")
+
+    def _channel(self, n, at):
+        return gaussian.coupler_channel(n, at[self.mode_a], at[self.mode_b], self.ratio)
+
+
+class Loss(_Statement, keyword="loss"):
+    mode: str
+    eta: float
+    label: str | None = None
+
+    def _channel(self, n, at):
+        return gaussian.loss_channel(n, at[self.mode], self.eta)
+
+
+class Homodyne(_Statement, keyword="homodyne"):
+    mode: str
+    eta_pd: float
+    eta_e: float
+    ratio: float
+    sweep: tuple
+    visibility: float = 1.0
+    rbw: float = 1.0e5
+    vbw: float = 30.0
+    center_freq: float = 2.0e6
+    sweep_time: float = 1.0
+
+    def _check(self):
+        if self.vbw > self.rbw:
+            raise _StatementError("out-of-range", ("vbw", "rbw"), f"vbw={self.vbw} exceeds rbw={self.rbw}")
+        if not math.isfinite(self.rbw / self.vbw):
+            raise _StatementError("out-of-range", ("vbw", "rbw"),
+                                  f"rbw/vbw overflows: rbw={self.rbw}, vbw={self.vbw}")
+
+
+
+class CircuitSpec(Record):
+    """Parsed netlist: declared modes, component statements in order, one measurement.
+
+    `modes` must be distinct identifiers naming every mode used (else ValueError),
+    `statements` a tuple of elements and `measurement` a `Homodyne` (else TypeError).
+    """
+
+    modes: tuple
+    statements: tuple
+    measurement: Homodyne
+
+    def __post_init__(self):
+        modes = self.modes
+        if not (isinstance(modes, tuple) and modes
+                and all(isinstance(name, str) and _IDENT.match(name) for name in modes)
+                and len(set(modes)) == len(modes)):
+            raise ValueError(f"modes must be a non-empty tuple of distinct lowercase identifiers, "
+                             f"got {modes!r}")
+        if not isinstance(self.statements, tuple):
+            raise TypeError(f"statements must be a tuple, got {type(self.statements).__name__}")
+        declared = frozenset(modes)
+        for st in self.statements:
+            if not isinstance(st, _Statement) or isinstance(st, Homodyne):
+                raise TypeError(f"unknown statement type {type(st).__name__}")
+            _check_declared(st, declared)
+        if not isinstance(self.measurement, Homodyne):
+            raise TypeError(f"measurement must be a Homodyne, got {type(self.measurement).__name__}")
+        _check_declared(self.measurement, declared)
+
+
+class MeasurementPlan(Record, eq=False):
+    """Where to measure: mode index and LO phases."""
+
+    mode: int
+    phases: np.ndarray
 
 
 def _check_declared(st, declared):
-    for name in st._row.mode_fields:
+    for name in st._mode_fields:
         if getattr(st, name) not in declared:
             raise _StatementError("undeclared-mode", (name,), f"mode '{getattr(st, name)}' is not declared")
 
 
-def _unchecked(cls, values):
-    """A `cls` record holding `values`, built without its `__post_init__` checks."""
-    obj = object.__new__(cls)
-    vars(obj).update(values)
-    return obj
-
-
-class _Row:
-    """One statement kind: how it is parsed, printed, checked and compiled.
-
-    Its record fields with a `_KEYS` rule are its parameters, the others name modes.
-    """
-
-    def __init__(self, keyword, cls, check=None, channel=None):
-        self.keyword, self.cls = keyword, cls
-        self.check = check       # statement -> None; raises _StatementError
-        self.channel = channel   # (n_modes, mode name -> index, statement) -> GaussianChannel
-        self.mode_fields = tuple(name for name, _ in cls._fields if name not in _KEYS)
-        self.params = tuple((name, default, _KEYS[name].fault) for name, default in cls._fields if name in _KEYS)
-        self.keys = frozenset(key for key, _, _ in self.params)
-        self.defaults = {key: default for key, default, _ in self.params if default is not MISSING}
-        cls._row = self
-
-    def trusted(self, values):
-        """The statement of values `parse` has checked one by one; only the row's check runs."""
-        statement = _unchecked(self.cls, {**self.defaults, **values})
-        if self.check is not None:
-            self.check(statement)
-        return statement
-
-
-_ROWS = {row.keyword: row for row in (
-    _Row("squeezer", Squeezer, _one_squeezing_source,
-         lambda n, at, st: gaussian.squeezer_channel(n, at[st.mode], st.effective_r(), st.phase, st.excess)),
-    _Row("phaseshift", PhaseShift,
-         channel=lambda n, at, st: gaussian.phaseshift_channel(n, at[st.mode], st.theta)),
-    _Row("coupler", Coupler, _distinct_modes,
-         lambda n, at, st: gaussian.coupler_channel(n, at[st.mode_a], at[st.mode_b], st.ratio)),
-    _Row("loss", Loss, channel=lambda n, at, st: gaussian.loss_channel(n, at[st.mode], st.eta)),
-    _Row("homodyne", Homodyne, _bandwidths),
-)}
-_MEASUREMENT = _ROWS["homodyne"]
-
-
-def _statement(row, tokens, line, declared):
-    """The row's statement from a line's tokens, keyword first.
+def _statement(kind, tokens, line, declared):
+    """The `kind` statement of a line's tokens, keyword first.
 
     Checks mode names, each parameter's key then value, the required keys
-    and the row's check before it looks up the modes' declarations.
+    and the kind's `_check` before it looks up the modes' declarations.
     """
     head, head_col = tokens[0]
-    count = len(row.mode_fields)
+    count = len(kind._mode_fields)
     if len(tokens) <= count:
         _err("unknown-keyword", line, head_col, f"{head} needs {count} mode name(s)")
     values, cols = {}, {}   # the record fields (mode names, then parameters) and their columns
-    for name, (text, col) in zip(row.mode_fields, tokens[1:]):
+    for name, (text, col) in zip(kind._mode_fields, tokens[1:]):
         if "=" in text:
             _err("unknown-keyword", line, col, f"expected a mode name, got '{text}'")
         values[name], cols[name] = text, col
@@ -376,7 +356,7 @@ def _statement(row, tokens, line, declared):
         key, eq, given = text.partition("=")
         if not eq:
             _err("unknown-keyword", line, col, f"expected key=value, got '{text}'")
-        if key not in row.keys:
+        if key not in kind._params:
             _err("unknown-keyword", line, col, f"unknown parameter '{key}'")
         if key in values:
             _err("unknown-keyword", line, col, f"duplicate parameter '{key}'")
@@ -387,10 +367,11 @@ def _statement(row, tokens, line, declared):
             _err(rule.kind, line, col, message)
         values[key], cols[key] = value, col
     try:
-        missing = [key for key, default, _ in row.params if default is MISSING and key not in values]
+        missing = [key for key, (default, _) in kind._params.items() if default is MISSING and key not in values]
         if missing:
             raise _missing(head, missing)
-        statement = row.trusted(values)
+        statement = kind._trusted(**values)   # each value was checked as it was read
+        statement._check()
         _check_declared(statement, declared)
     except _StatementError as exc:
         _err(exc.kind, line, next((cols[name] for name in exc.fields if name in cols), head_col), str(exc))
@@ -419,10 +400,10 @@ def parse(source):
         if not tokens:
             continue
         head, head_col = tokens[0]
-        row = _ROWS.get(head)
+        kind = _KINDS.get(head)
 
         if measurement is not None:
-            if row is _MEASUREMENT:
+            if kind is Homodyne:
                 _err("duplicate-measurement", line_no, head_col,
                      f"second homodyne statement (first on line {measurement_line})")
             _err("unknown-keyword", line_no, head_col, "no statements allowed after the homodyne measurement")
@@ -436,25 +417,23 @@ def parse(source):
                 if text in declared:
                     _err("unknown-keyword", line_no, col, f"duplicate mode declaration '{text}'")
                 declared[text] = None
-        elif row is None:
+        elif kind is None:
             _err("unknown-keyword", line_no, head_col, f"unknown statement '{head}'")
-        elif row is _MEASUREMENT:
-            measurement, measurement_line = _statement(row, tokens, line_no, declared), line_no
+        elif kind is Homodyne:
+            measurement, measurement_line = _statement(kind, tokens, line_no, declared), line_no
         else:
-            statements.append(_statement(row, tokens, line_no, declared))
+            statements.append(_statement(kind, tokens, line_no, declared))
 
     if measurement is None:
         _err("missing-measurement", len(lines), 1, "netlist has no homodyne measurement statement")
     # every part was checked on entry, so the spec's own checks would only repeat them
-    return _unchecked(CircuitSpec, {"modes": tuple(declared), "statements": tuple(statements),
-                                    "measurement": measurement})
+    return CircuitSpec._trusted(modes=tuple(declared), statements=tuple(statements), measurement=measurement)
 
 
 def _statement_text(st):
     """Keyword, mode names, then `key=value` for each key that differs from its field default."""
-    row = st._row
-    words = [row.keyword, *(str(getattr(st, name)) for name in row.mode_fields)]
-    for key, default, _ in row.params:
+    words = [st._keyword, *(str(getattr(st, name)) for name in st._mode_fields)]
+    for key, (default, _) in st._params.items():
         value = getattr(st, key)
         if value != default:
             words.append(f"{key}={_KEYS[key].write(value)}")
@@ -473,6 +452,6 @@ def compile_spec(spec):
     """Compile a CircuitSpec to an ordered GaussianChannel list and a MeasurementPlan."""
     n = len(spec.modes)
     index = {name: i for i, name in enumerate(spec.modes)}
-    channels = [st._row.channel(n, index, st) for st in spec.statements]
+    channels = [st._channel(n, index) for st in spec.statements]
     m = spec.measurement
     return channels, MeasurementPlan(mode=index[m.mode], phases=homodyne.phase_grid(*m.sweep))

@@ -236,6 +236,42 @@ def test_simulate_zero_efficiency_names_the_zero_factor(statements, factor, tmp_
                                        f"budget factor(s) {factor} are 0\n")
 
 
+@pytest.mark.parametrize("missing", ["csv", "report"])
+def test_simulate_writes_both_outputs_or_neither(missing, tmp_path, capsys):
+    paths = {"csv": tmp_path / "t.csv", "report": tmp_path / "r.json"}
+    paths[missing] = tmp_path / "no" / paths[missing].name   # a directory that does not exist
+    argv = ["simulate", str(CHIP), "--noiseless", "--csv", str(paths["csv"]), "--report", str(paths["report"])]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_simulate_leaves_a_csv_it_did_not_create(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_text("old")
+    assert main(["simulate", str(CHIP), "--noiseless", "--csv", str(csv), "--report", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert csv.exists()
+
+
+def test_simulate_rejects_one_path_for_both_outputs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", str(CHIP), "--noiseless", "--csv", "t.csv", "--report", "./t.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --csv and --report name the same file './t.csv'\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--noiseless"]])
+def test_an_empty_netlist_path_names_itself(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, ""]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_analyze_reference_numbers(capsys):
     assert main(["analyze", "--sq-db", "-2.00", "--asq-db", "2.80", "--eta", "0.71"]) == 0
     report = json.loads(capsys.readouterr().out)
