@@ -14,6 +14,8 @@ Sibling modules are bound as modules and their functions read at call
 time, so a command runs only the sqzsim modules it calls.
 """
 
+import errno
+import io
 import os
 import sys
 import types
@@ -43,6 +45,37 @@ def cmd_validate(args):
     return EXIT_OK
 
 
+def _write_all(texts):
+    """Write each path's text, every file or none.
+
+    Each text goes to a new file beside the file its path resolves to
+    (created with O_EXCL, so the umask sets its mode), and the new files
+    replace those files only once all are written; on any failure the new
+    files are removed and every path keeps what it held. An OSError names
+    the path, not the new file.
+    """
+    temps = {}   # resolved path -> its new file
+    try:
+        for path, text in texts.items():
+            real = os.path.realpath(path)
+            if os.path.isdir(real):   # os.replace would fail only after an earlier path was replaced
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            temp = f"{real}.{os.getpid()}.tmp"
+            try:
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            temps[real] = temp
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for real in list(temps):
+            os.replace(temps[real], real)
+            del temps[real]
+    finally:
+        for temp in temps.values():
+            os.remove(temp)
+
+
 def cmd_simulate(args):
     spec = _spec(args.netlist)
     if not args.noiseless and args.seed is None:
@@ -51,18 +84,13 @@ def cmd_simulate(args):
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if os.path.realpath(args.csv) == os.path.realpath(args.report):
         raise ValueError(f"--csv and --report name the same file {args.report!r}")
+    netlist_path = os.path.realpath(args.netlist)
+    for flag, path in (("--csv", args.csv), ("--report", args.report)):
+        if os.path.realpath(path) == netlist_path:
+            raise ValueError(f"{flag} names the netlist {args.netlist!r}")
     trace, report = simulate.run_spec(spec, noiseless=args.noiseless, seed=args.seed)
-    report_text = budget.report_to_json(report)
-    csv_is_new = not os.path.lexists(args.csv)
-    with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-        homodyne.write_trace_csv(trace, fh)
-    try:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report_text)
-    except OSError:   # the two outputs are written both or not at all
-        if csv_is_new:
-            os.remove(args.csv)
-        raise
+    _write_all({args.csv: homodyne.write_trace_csv(trace, io.StringIO()),
+                args.report: budget.report_to_json(report)})
     print(f"wrote {args.csv} ({trace.phases.size} points)")
     print(f"wrote {args.report}")
     print(f"raw squeezing {report.raw_sq_db!r} dB, antisqueezing {report.raw_asq_db!r} dB")

@@ -9,10 +9,16 @@ every circuit starts from vacuum and no element displaces it, so the mean
 is always zero, and every number sqzsim reports is a variance. States and
 channels are immutable values; every operation returns a new state.
 
-An element channel (squeezer, phase shift, coupler, loss) stores only its
-own 2x2 or 4x4 (X, Y) block and the ordered modes it acts on, so applying
-it rewrites just those modes' rows and columns: O(N) work per element on
-an N-mode state instead of a dense 2N x 2N product.
+An element channel stores only its (X, Y) block and the ordered k modes it
+acts on, so applying it rewrites just those modes' rows and columns:
+O(k^2 N) work on an N-mode state instead of a dense 2N x 2N product. The
+public builders give one element (squeezer, phase shift, coupler, loss)
+its 2x2 or 4x4 block. A compiled chip is a sequence of layers: channels
+on disjoint modes commute, and their product is their tensor product, so
+`_layer` joins the raw blocks of a layer's statements into one
+block-diagonal channel, and a chip costs one apply per layer.
+`netlist.LAYER_MODES` caps k, so a layer's block stays small however wide
+the chip.
 """
 
 import math
@@ -125,17 +131,44 @@ def _symmetrised(matrix, message):
 def _element(X, Y, n_modes, modes):
     """Element channel: its read-only (X, Y) block on the ordered `modes` of an n_modes-mode state.
 
-    Finite, completely positive and Y exactly symmetric by construction
-    from scalars the builders have checked, so nothing is checked here.
-    It also stores the row indices `apply` rewrites: a slice when they are
-    contiguous (indexing gives views) and an index array otherwise, which
-    numpy gathers faster than a list.
+    Y None is the zero block. Finite, completely positive and Y exactly
+    symmetric by construction from scalars the builders have checked, so
+    nothing is checked here. It also stores the row indices `apply`
+    rewrites: a slice when they are contiguous (indexing gives views) and
+    an index array otherwise, which numpy gathers faster than a list.
     """
+    if Y is None:
+        Y = np.zeros_like(X)
     if modes == tuple(range(modes[0], modes[0] + len(modes))):
         rows = slice(2 * modes[0], 2 * (modes[0] + len(modes)))
     else:
         rows = np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp)
     return GaussianChannel._trusted(X=read_only(X), Y=read_only(Y), modes=modes, n_modes=n_modes, _rows=rows)
+
+
+def _layer(n_modes, blocks):
+    """One element channel of raw `(modes, X, Y or None)` blocks on disjoint modes.
+
+    Its modes are the blocks' modes in order, and its X and Y the blocks'
+    block-diagonal sum, so one apply does the work of the blocks' applies
+    in any order. A layer of one block takes that block as it is.
+    """
+    if len(blocks) == 1:
+        modes, X, Y = blocks[0]
+        return _element(X, Y, n_modes, modes)
+    # from a list: tuple() of a generator resizes its guess, which strands each
+    # freed tuple on a free list of a size it never takes from again
+    modes = tuple([m for block_modes, _, _ in blocks for m in block_modes])
+    shape = (2 * len(modes),) * 2
+    X, Y = np.zeros(shape), np.zeros(shape)
+    start = 0
+    for block_modes, x, y in blocks:
+        end = start + 2 * len(block_modes)
+        X[start:end, start:end] = x
+        if y is not None:
+            Y[start:end, start:end] = y
+        start = end
+    return _element(X, Y, n_modes, modes)
 
 
 def vacuum(n_modes):
@@ -242,6 +275,33 @@ def reduce_modes(state, modes):
     return GaussianState(state.cov[np.ix_(idx, idx)])
 
 
+def _squeezer_block(r, phase, excess):
+    """Raw (X, Y or None) block of a squeezer with r >= 0 and excess >= 1.
+
+    Raises ValueError when the block's largest scale, e^r or (excess - 1)
+    e^2r, is not a double or the phase is not finite; NaN or inf in any
+    argument fails here too.
+    """
+    try:
+        scale = math.exp(r) if excess == 1.0 else (excess - 1.0) * math.exp(2.0 * r)
+    except OverflowError:
+        scale = math.inf
+    if not (math.isfinite(scale) and math.isfinite(phase)):
+        raise ValueError("channel contains non-finite values")
+    noise = None
+    if excess > 1.0:
+        # (excess - 1) e^2r on the antisqueezed axis (-sin, cos) of the rotated squeezer
+        axis = np.array([-np.sin(phase), np.cos(phase)])
+        noise = (excess - 1.0) * np.exp(2.0 * r) * np.outer(axis, axis)
+    return squeeze_symplectic(r, phase), noise
+
+
+def _loss_block(eta):
+    """Raw (X, Y) block of a loss with transmission `eta` in [0, 1]."""
+    eye = np.eye(2)
+    return math.sqrt(eta) * eye, (1.0 - eta) * eye
+
+
 def squeezer_channel(n_modes, mode, r, phase=0.0, excess=1.0):
     """Squeezer as a channel, with optional excess noise on the antisqueezed axis.
 
@@ -254,27 +314,14 @@ def squeezer_channel(n_modes, mode, r, phase=0.0, excess=1.0):
         raise ValueError("squeezing parameter r must be >= 0")
     if excess < 1.0:
         raise ValueError("excess noise factor must be >= 1")
-    # the block's largest scale, e^r or (excess - 1) e^2r, must be a double at a
-    # finite phase; NaN or inf in any argument fails here too
-    try:
-        scale = math.exp(r) if excess == 1.0 else (excess - 1.0) * math.exp(2.0 * r)
-    except OverflowError:
-        scale = math.inf
-    if not (math.isfinite(scale) and math.isfinite(phase)):
-        raise ValueError("channel contains non-finite values")
-    noise = np.zeros((2, 2))
-    if excess > 1.0:
-        # (excess - 1) e^2r on the antisqueezed axis (-sin, cos) of the rotated squeezer
-        axis = np.array([-np.sin(phase), np.cos(phase)])
-        noise = (excess - 1.0) * np.exp(2.0 * r) * np.outer(axis, axis)
-    return _element(squeeze_symplectic(r, phase), noise, n_modes, (mode,))
+    return _element(*_squeezer_block(r, phase, excess), n_modes, (mode,))
 
 
 def phaseshift_channel(n_modes, mode, theta):
     _check_mode(n_modes, mode)
     if not math.isfinite(theta):
         raise ValueError("channel contains non-finite values")
-    return _element(phaseshift_symplectic(theta), np.zeros((2, 2)), n_modes, (mode,))
+    return _element(phaseshift_symplectic(theta), None, n_modes, (mode,))
 
 
 def coupler_channel(n_modes, mode_a, mode_b, ratio):
@@ -283,11 +330,10 @@ def coupler_channel(n_modes, mode_a, mode_b, ratio):
     if mode_a == mode_b:
         raise ValueError("coupler requires two distinct modes")
     check_unit("ratio", ratio)
-    return _element(coupler_symplectic(ratio), np.zeros((4, 4)), n_modes, (mode_a, mode_b))
+    return _element(coupler_symplectic(ratio), None, n_modes, (mode_a, mode_b))
 
 
 def loss_channel(n_modes, mode, eta):
     _check_mode(n_modes, mode)
     check_unit("eta", eta)
-    eye = np.eye(2)
-    return _element(math.sqrt(eta) * eye, (1.0 - eta) * eye, n_modes, (mode,))
+    return _element(*_loss_block(eta), n_modes, (mode,))

@@ -29,7 +29,7 @@ Exactly one homodyne statement is required and nothing may follow it.
 
 Each statement kind is one `_Statement` subclass, a frozen `_record.Record`
 declared with its keyword. Its fields, its cross-field `_check` and its
-`_channel` builder are what `parse`, `pretty_print` and `compile_spec`
+`_block` builder are what `parse`, `pretty_print` and `compile_spec`
 read; `_KEYS` holds each key's value rule once. A new element is one
 class. The statement records and `CircuitSpec` check themselves on
 construction with the parser's rules, so any spec is one `parse` accepts;
@@ -58,6 +58,7 @@ from ._record import MISSING, Record
 
 VERSION_HEADER = "# sqzsim netlist v1"
 MAX_SWEEP_POINTS = 100_000
+LAYER_MODES = 8   # most modes one compiled layer acts on, so its block stays small on a wide chip
 
 _IDENT = re.compile(r"[a-z][a-z0-9_]*\Z")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
@@ -196,7 +197,7 @@ class _Statement(Record):
     """Base of the statement kinds, one class each: `class Loss(_Statement, keyword="loss")`.
 
     Fields with a `_KEYS` rule are the kind's `_params`, name -> (default, fault); the others name modes.
-    `_channel(n, at)` is its GaussianChannel on n modes, `at` giving a mode's index.
+    `_block(at)` is its raw channel block (mode indices, X, Y or None), `at` giving a mode's index.
     Construction checks mode fields are str and the others obey their rule, then runs `_check`.
     """
 
@@ -239,16 +240,16 @@ class Squeezer(_Statement, keyword="squeezer"):
         elif self.pump_mw is None or self.gain is None:
             raise _missing("squeezer", [key for key in ("pump_mw", "gain") if getattr(self, key) is None])
 
-    def _channel(self, n, at):
-        return gaussian.squeezer_channel(n, at[self.mode], self.effective_r(), self.phase, self.excess)
+    def _block(self, at):
+        return (at[self.mode],), *gaussian._squeezer_block(self.effective_r(), self.phase, self.excess)
 
 
 class PhaseShift(_Statement, keyword="phaseshift"):
     mode: str
     theta: float
 
-    def _channel(self, n, at):
-        return gaussian.phaseshift_channel(n, at[self.mode], self.theta)
+    def _block(self, at):
+        return (at[self.mode],), gaussian.phaseshift_symplectic(self.theta), None
 
 
 class Coupler(_Statement, keyword="coupler"):
@@ -260,8 +261,8 @@ class Coupler(_Statement, keyword="coupler"):
         if self.mode_a == self.mode_b:
             raise _StatementError("out-of-range", ("mode_b",), "coupler requires two distinct modes")
 
-    def _channel(self, n, at):
-        return gaussian.coupler_channel(n, at[self.mode_a], at[self.mode_b], self.ratio)
+    def _block(self, at):
+        return (at[self.mode_a], at[self.mode_b]), gaussian.coupler_symplectic(self.ratio), None
 
 
 class Loss(_Statement, keyword="loss"):
@@ -269,8 +270,8 @@ class Loss(_Statement, keyword="loss"):
     eta: float
     label: str | None = None
 
-    def _channel(self, n, at):
-        return gaussian.loss_channel(n, at[self.mode], self.eta)
+    def _block(self, at):
+        return (at[self.mode],), *gaussian._loss_block(self.eta)
 
 
 class Homodyne(_Statement, keyword="homodyne"):
@@ -448,10 +449,40 @@ def pretty_print(spec):
     return "\n".join(out) + "\n"
 
 
+def _layers(statement_modes):
+    """Statement positions grouped into layers, from each statement's mode indices.
+
+    A statement joins the first layer after the last one that touches any
+    of its modes and that has room for them within LAYER_MODES, opening a
+    new layer when none has. So a layer's statements act on distinct modes,
+    and statements that share a mode sit in increasing layers, in order.
+    """
+    layers, widths, after = [], [], {}   # after: mode -> first layer free of it
+    for i, modes in enumerate(statement_modes):
+        k = max(after.get(m, 0) for m in modes)
+        while k < len(layers) and widths[k] + len(modes) > LAYER_MODES:
+            k += 1
+        if k == len(layers):
+            layers.append([])
+            widths.append(0)
+        layers[k].append(i)
+        widths[k] += len(modes)
+        for m in modes:
+            after[m] = k + 1
+    return layers
+
+
 def compile_spec(spec):
-    """Compile a CircuitSpec to an ordered GaussianChannel list and a MeasurementPlan."""
+    """Compile a CircuitSpec to an ordered GaussianChannel list and a MeasurementPlan.
+
+    Each channel is one layer of `_layers`: the block-diagonal sum of its
+    statements' blocks, which act on distinct modes and so commute. Applied
+    in order, the channels give the state of the statements applied one by
+    one, in fewer applies.
+    """
     n = len(spec.modes)
     index = {name: i for i, name in enumerate(spec.modes)}
-    channels = [st._channel(n, index) for st in spec.statements]
+    blocks = [st._block(index) for st in spec.statements]
+    channels = [gaussian._layer(n, [blocks[i] for i in layer]) for layer in _layers([b[0] for b in blocks])]
     m = spec.measurement
     return channels, MeasurementPlan(mode=index[m.mode], phases=homodyne.phase_grid(*m.sweep))

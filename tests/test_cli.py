@@ -252,7 +252,51 @@ def test_simulate_leaves_a_csv_it_did_not_create(tmp_path, capsys):
     csv.write_text("old")
     assert main(["simulate", str(CHIP), "--noiseless", "--csv", str(csv), "--report", str(tmp_path)]) == 3
     assert capsys.readouterr().err.count("\n") == 1
-    assert csv.exists()
+    assert csv.read_text() == "old"
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_simulate_keeps_both_old_outputs_when_the_report_cannot_be_opened(tmp_path, capsys):
+    (tmp_path / "r.json").mkdir()
+    csv = tmp_path / "t.csv"
+    csv.write_text("old")
+    argv = ["simulate", str(CHIP), "--noiseless", "--csv", str(csv), "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path / 'r.json'}'\n"
+    assert csv.read_text() == "old"
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "t.csv"] and os.listdir(tmp_path / "r.json") == []
+
+
+def test_simulate_outputs_take_their_mode_from_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        assert main(["simulate", str(CHIP), "--noiseless", "--csv", str(tmp_path / "t.csv"),
+                     "--report", str(tmp_path / "r.json")]) == 0
+    finally:
+        os.umask(old)
+    assert {name: os.stat(tmp_path / name).st_mode & 0o777 for name in os.listdir(tmp_path)} == {
+        "t.csv": 0o640, "r.json": 0o640}
+
+
+def test_simulate_writes_through_a_symlinked_output(tmp_path):
+    (tmp_path / "t.csv").symlink_to("target.csv")
+    assert main(["simulate", str(CHIP), "--noiseless", "--csv", str(tmp_path / "t.csv"),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    assert (tmp_path / "t.csv").is_symlink()
+    assert (tmp_path / "target.csv").read_text().startswith("phase_rad,variance_db\n")
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "t.csv", "target.csv"]
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--report"])
+def test_simulate_will_not_write_over_its_netlist(flag, chip_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = chip_file.read_bytes()
+    paths = {"--csv": "t.csv", "--report": "r.json", flag: "./paper_chip.nl"}
+    assert main(["simulate", "paper_chip.nl", "--noiseless", *(x for kv in paths.items() for x in kv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {flag} names the netlist 'paper_chip.nl'\n"
+    assert chip_file.read_bytes() == before
+    assert os.listdir(tmp_path) == ["paper_chip.nl"]
 
 
 def test_simulate_rejects_one_path_for_both_outputs(tmp_path, capsys, monkeypatch):
