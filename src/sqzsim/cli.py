@@ -14,9 +14,9 @@ Sibling modules are bound as modules and their functions read at call
 time, so a command runs only the sqzsim modules it calls.
 """
 
-import errno
 import io
 import os
+import stat
 import sys
 import types
 
@@ -48,32 +48,30 @@ def cmd_validate(args):
 def _write_all(texts):
     """Write each path's text, every file or none.
 
-    Each text goes to a new file beside the file its path resolves to
-    (created with O_EXCL, so the umask sets its mode), and the new files
-    replace those files only once all are written; on any failure the new
-    files are removed and every path keeps what it held. An OSError names
-    the path, not the new file.
+    Every path is opened, and created if missing, before any is truncated,
+    so when one cannot be opened the others keep their bytes and the files
+    this run created are removed. Each is then written in place, which
+    keeps an existing file's mode, owner and links and suits a device or
+    a pipe; only a regular file is truncated.
     """
-    temps = {}   # resolved path -> its new file
+    files = []   # (open file, the file's path if this run created it)
     try:
-        for path, text in texts.items():
+        for path in texts:
             real = os.path.realpath(path)
-            if os.path.isdir(real):   # os.replace would fail only after an earlier path was replaced
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            temp = f"{real}.{os.getpid()}.tmp"
-            try:
-                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            except OSError as exc:
-                raise type(exc)(exc.errno, exc.strerror, path) from None
-            temps[real] = temp
-            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        for real in list(temps):
-            os.replace(temps[real], real)
-            del temps[real]
-    finally:
-        for temp in temps.values():
-            os.remove(temp)
+            created = not os.path.lexists(real)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            files.append((open(fd, "w", encoding="utf-8", newline="\n"), real if created else None))
+    except OSError:
+        for fh, created in files:
+            fh.close()
+            if created:
+                os.remove(created)
+        raise
+    for (fh, _), text in zip(files, texts.values()):
+        with fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+            fh.write(text)
 
 
 def cmd_simulate(args):

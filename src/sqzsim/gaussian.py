@@ -15,9 +15,9 @@ O(k^2 N) work on an N-mode state instead of a dense 2N x 2N product. The
 public builders give one element (squeezer, phase shift, coupler, loss)
 its 2x2 or 4x4 block. A compiled chip is a sequence of layers: channels
 on disjoint modes commute, and their product is their tensor product, so
-`_layer` joins the raw blocks of a layer's statements into one
-block-diagonal channel, and a chip costs one apply per layer.
-`netlist.LAYER_MODES` caps k, so a layer's block stays small however wide
+`_layered` groups a chip's raw blocks into layers and joins each layer's
+blocks into one block-diagonal channel, and a chip costs one apply per
+layer. `LAYER_MODES` caps k, so a layer's block stays small however wide
 the chip.
 """
 
@@ -28,6 +28,7 @@ import numpy as np
 from ._record import Record, read_only
 from .conversions import _as_scalar_or_array, check_unit
 
+LAYER_MODES = 8          # most modes one layer of `_layered` acts on, so its block stays small on a wide chip
 SYMMETRY_RTOL = 1e-12    # relative symmetry tolerance for covariance input
 UNCERTAINTY_TOL = -1e-9  # lower bound for eigenvalues of cov + i*Omega
 CP_TOL = -1e-9           # lower bound for the channel complete-positivity check
@@ -146,29 +147,60 @@ def _element(X, Y, n_modes, modes):
     return GaussianChannel._trusted(X=read_only(X), Y=read_only(Y), modes=modes, n_modes=n_modes, _rows=rows)
 
 
-def _layer(n_modes, blocks):
-    """One element channel of raw `(modes, X, Y or None)` blocks on disjoint modes.
+def _layers(block_modes):
+    """Block positions grouped into layers, from each block's mode indices.
 
-    Its modes are the blocks' modes in order, and its X and Y the blocks'
-    block-diagonal sum, so one apply does the work of the blocks' applies
-    in any order. A layer of one block takes that block as it is.
+    A block joins the first layer after the last one that touches any of
+    its modes and that has room for them within LAYER_MODES, opening a new
+    layer when none has. So a layer's blocks act on distinct modes, and
+    blocks that share a mode sit in increasing layers, in order.
     """
-    if len(blocks) == 1:
-        modes, X, Y = blocks[0]
-        return _element(X, Y, n_modes, modes)
-    # from a list: tuple() of a generator resizes its guess, which strands each
-    # freed tuple on a free list of a size it never takes from again
-    modes = tuple([m for block_modes, _, _ in blocks for m in block_modes])
-    shape = (2 * len(modes),) * 2
-    X, Y = np.zeros(shape), np.zeros(shape)
-    start = 0
-    for block_modes, x, y in blocks:
-        end = start + 2 * len(block_modes)
-        X[start:end, start:end] = x
-        if y is not None:
-            Y[start:end, start:end] = y
-        start = end
-    return _element(X, Y, n_modes, modes)
+    layers, widths, after = [], [], {}   # after: mode -> first layer free of it
+    for i, modes in enumerate(block_modes):
+        k = max(after.get(m, 0) for m in modes)
+        while k < len(layers) and widths[k] + len(modes) > LAYER_MODES:
+            k += 1
+        if k == len(layers):
+            layers.append([])
+            widths.append(0)
+        layers[k].append(i)
+        widths[k] += len(modes)
+        for m in modes:
+            after[m] = k + 1
+    return layers
+
+
+def _layered(n_modes, blocks):
+    """Element channels of raw `(modes, X, Y or None)` blocks in order, one per layer of `_layers`.
+
+    A layer's channel acts on its blocks' modes in order, with the blocks'
+    block-diagonal sum as its X and Y. Its blocks act on distinct modes and
+    so commute, and applied in order the channels give the state of the
+    blocks applied one by one, in fewer applies. A layer of one block
+    takes that block as it is, and a Y of None (the zero block) is not
+    copied: a chip's many one-block layers and lossless blocks cost no
+    allocation or copy.
+    """
+    channels = []
+    for layer in _layers([modes for modes, _, _ in blocks]):
+        if len(layer) == 1:
+            modes, X, Y = blocks[layer[0]]
+            channels.append(_element(X, Y, n_modes, modes))
+            continue
+        # from a list: tuple() of a generator resizes its guess, which strands each
+        # freed tuple on a free list of a size it never takes from again
+        modes = tuple([m for i in layer for m in blocks[i][0]])
+        X, Y = np.zeros((2, 2 * len(modes), 2 * len(modes)))
+        start = 0
+        for i in layer:
+            block_modes, x, y = blocks[i]
+            end = start + 2 * len(block_modes)
+            X[start:end, start:end] = x
+            if y is not None:
+                Y[start:end, start:end] = y
+            start = end
+        channels.append(_element(X, Y, n_modes, modes))
+    return channels
 
 
 def vacuum(n_modes):
@@ -296,6 +328,16 @@ def _squeezer_block(r, phase, excess):
     return squeeze_symplectic(r, phase), noise
 
 
+def _phaseshift_block(theta):
+    """Raw (X, None) block of a phase shift by `theta`."""
+    return phaseshift_symplectic(theta), None
+
+
+def _coupler_block(ratio):
+    """Raw (X, None) block of a coupler with power splitting `ratio` in [0, 1]."""
+    return coupler_symplectic(ratio), None
+
+
 def _loss_block(eta):
     """Raw (X, Y) block of a loss with transmission `eta` in [0, 1]."""
     eye = np.eye(2)
@@ -321,7 +363,7 @@ def phaseshift_channel(n_modes, mode, theta):
     _check_mode(n_modes, mode)
     if not math.isfinite(theta):
         raise ValueError("channel contains non-finite values")
-    return _element(phaseshift_symplectic(theta), None, n_modes, (mode,))
+    return _element(*_phaseshift_block(theta), n_modes, (mode,))
 
 
 def coupler_channel(n_modes, mode_a, mode_b, ratio):
@@ -330,7 +372,7 @@ def coupler_channel(n_modes, mode_a, mode_b, ratio):
     if mode_a == mode_b:
         raise ValueError("coupler requires two distinct modes")
     check_unit("ratio", ratio)
-    return _element(coupler_symplectic(ratio), None, n_modes, (mode_a, mode_b))
+    return _element(*_coupler_block(ratio), n_modes, (mode_a, mode_b))
 
 
 def loss_channel(n_modes, mode, eta):

@@ -58,7 +58,6 @@ from ._record import MISSING, Record
 
 VERSION_HEADER = "# sqzsim netlist v1"
 MAX_SWEEP_POINTS = 100_000
-LAYER_MODES = 8   # most modes one compiled layer acts on, so its block stays small on a wide chip
 
 _IDENT = re.compile(r"[a-z][a-z0-9_]*\Z")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
@@ -197,7 +196,7 @@ class _Statement(Record):
     """Base of the statement kinds, one class each: `class Loss(_Statement, keyword="loss")`.
 
     Fields with a `_KEYS` rule are the kind's `_params`, name -> (default, fault); the others name modes.
-    `_block(at)` is its raw channel block (mode indices, X, Y or None), `at` giving a mode's index.
+    `_block(at)` is its raw channel block for `gaussian._layered`, `at` giving a mode's index.
     Construction checks mode fields are str and the others obey their rule, then runs `_check`.
     """
 
@@ -249,7 +248,7 @@ class PhaseShift(_Statement, keyword="phaseshift"):
     theta: float
 
     def _block(self, at):
-        return (at[self.mode],), gaussian.phaseshift_symplectic(self.theta), None
+        return (at[self.mode],), *gaussian._phaseshift_block(self.theta)
 
 
 class Coupler(_Statement, keyword="coupler"):
@@ -262,7 +261,7 @@ class Coupler(_Statement, keyword="coupler"):
             raise _StatementError("out-of-range", ("mode_b",), "coupler requires two distinct modes")
 
     def _block(self, at):
-        return (at[self.mode_a], at[self.mode_b]), gaussian.coupler_symplectic(self.ratio), None
+        return (at[self.mode_a], at[self.mode_b]), *gaussian._coupler_block(self.ratio)
 
 
 class Loss(_Statement, keyword="loss"):
@@ -449,40 +448,16 @@ def pretty_print(spec):
     return "\n".join(out) + "\n"
 
 
-def _layers(statement_modes):
-    """Statement positions grouped into layers, from each statement's mode indices.
-
-    A statement joins the first layer after the last one that touches any
-    of its modes and that has room for them within LAYER_MODES, opening a
-    new layer when none has. So a layer's statements act on distinct modes,
-    and statements that share a mode sit in increasing layers, in order.
-    """
-    layers, widths, after = [], [], {}   # after: mode -> first layer free of it
-    for i, modes in enumerate(statement_modes):
-        k = max(after.get(m, 0) for m in modes)
-        while k < len(layers) and widths[k] + len(modes) > LAYER_MODES:
-            k += 1
-        if k == len(layers):
-            layers.append([])
-            widths.append(0)
-        layers[k].append(i)
-        widths[k] += len(modes)
-        for m in modes:
-            after[m] = k + 1
-    return layers
-
-
 def compile_spec(spec):
     """Compile a CircuitSpec to an ordered GaussianChannel list and a MeasurementPlan.
 
-    Each channel is one layer of `_layers`: the block-diagonal sum of its
-    statements' blocks, which act on distinct modes and so commute. Applied
-    in order, the channels give the state of the statements applied one by
-    one, in fewer applies.
+    Each channel is one layer of `gaussian._layered`: the block-diagonal
+    sum of the blocks of statements on distinct modes, which commute.
+    Applied in order, the channels give the state of the statements
+    applied one by one, in fewer applies.
     """
     n = len(spec.modes)
     index = {name: i for i, name in enumerate(spec.modes)}
-    blocks = [st._block(index) for st in spec.statements]
-    channels = [gaussian._layer(n, [blocks[i] for i in layer]) for layer in _layers([b[0] for b in blocks])]
+    channels = gaussian._layered(n, [st._block(index) for st in spec.statements])
     m = spec.measurement
     return channels, MeasurementPlan(mode=index[m.mode], phases=homodyne.phase_grid(*m.sweep))

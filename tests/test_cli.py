@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -285,6 +286,31 @@ def test_simulate_writes_through_a_symlinked_output(tmp_path):
     assert (tmp_path / "t.csv").is_symlink()
     assert (tmp_path / "target.csv").read_text().startswith("phase_rad,variance_db\n")
     assert sorted(os.listdir(tmp_path)) == ["r.json", "t.csv", "target.csv"]
+
+
+def test_simulate_rewrites_an_existing_output_in_place(tmp_path):
+    csv = tmp_path / "t.csv"
+    csv.write_text("old " * 10_000)
+    csv.chmod(0o604)
+    os.link(csv, tmp_path / "link.csv")
+    assert main(["simulate", str(CHIP), "--noiseless", "--csv", str(csv),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    text = csv.read_text()
+    assert text.startswith("phase_rad,variance_db\n") and "old" not in text
+    assert (tmp_path / "link.csv").read_text() == text   # still one file, with its own mode
+    assert os.stat(csv).st_mode & 0o777 == 0o604 and os.stat(csv).st_nlink == 2
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "r.json", "t.csv"]
+
+
+def test_simulate_writes_to_a_device_without_renaming_over_it(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"renamed {args}")
+    monkeypatch.setattr(os, "replace", refuse)
+    monkeypatch.setattr(os, "rename", refuse)
+    assert main(["simulate", str(CHIP), "--noiseless", "--csv", str(tmp_path / "t.csv"),
+                 "--report", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--report"])

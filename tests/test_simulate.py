@@ -20,7 +20,7 @@ from sqzsim import (
     run_spec,
     total_efficiency,
 )
-from sqzsim.netlist import LAYER_MODES, _layers
+from sqzsim.gaussian import LAYER_MODES, _layers
 
 
 def test_paper_chip_run_applies_each_channel_once(monkeypatch):
