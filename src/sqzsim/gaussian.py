@@ -178,8 +178,8 @@ def _layered(n_modes, blocks):
     so commute, and applied in order the channels give the state of the
     blocks applied one by one, in fewer applies. A layer of one block
     takes that block as it is, and a Y of None (the zero block) is not
-    copied into the sum: copying both made the stress benchmark's chip
-    compile about 6 % slower.
+    copied into the sum: copying both made `compile_spec` on the stress
+    benchmark's chips about 8 % slower.
     """
     channels = []
     for layer in _layers([modes for modes, _, _ in blocks]):
