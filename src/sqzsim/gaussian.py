@@ -13,15 +13,17 @@ An element channel stores only its (X, Y) block and the ordered k modes it
 acts on, so applying it rewrites just those modes' rows and columns:
 O(k^2 N) work on an N-mode state instead of a dense 2N x 2N product. The
 public builders give one element (squeezer, phase shift, coupler, loss)
-its 2x2 or 4x4 block. A compiled chip is a sequence of layers: channels
-on disjoint modes commute, and their product is their tensor product, so
-`_layered` groups a chip's raw blocks into layers and joins each layer's
-blocks into one block-diagonal channel, and a chip costs one apply per
-layer. `LAYER_MODES` caps k, so a layer's block stays small however wide
-the chip.
+its 2x2 or 4x4 block; each element's block has one formula, a `_*_block`
+function of Python floats that returns its rows as lists. A compiled chip
+is a sequence of layers: channels on disjoint modes commute, and their
+product is their tensor product, so `_layered` groups a chip's raw blocks
+into layers and joins each layer's blocks into one block-diagonal channel,
+and a chip costs one apply per layer. `LAYER_MODES` caps k, so a layer's
+block stays small however wide the chip.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -132,19 +134,19 @@ def _symmetrised(matrix, message):
 def _element(X, Y, n_modes, modes):
     """Element channel: its read-only (X, Y) block on the ordered `modes` of an n_modes-mode state.
 
-    Y None is the zero block. Finite, completely positive and Y exactly
-    symmetric by construction from scalars the builders have checked, so
-    nothing is checked here. It also stores the row indices `apply`
-    rewrites: a slice when they are contiguous (indexing gives views) and
-    an index array otherwise, which numpy gathers faster than a list.
+    X and Y are float arrays or nested lists of floats. Finite, completely
+    positive and Y exactly symmetric by construction from scalars the
+    builders have checked, so nothing is checked here. It also stores the
+    row indices `apply` rewrites: a slice when they are contiguous
+    (indexing gives views) and an index array otherwise, which numpy
+    gathers faster than a list.
     """
-    if Y is None:
-        Y = np.zeros_like(X)
     if modes == tuple(range(modes[0], modes[0] + len(modes))):
         rows = slice(2 * modes[0], 2 * (modes[0] + len(modes)))
     else:
         rows = np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp)
-    return GaussianChannel._trusted(X=read_only(X), Y=read_only(Y), modes=modes, n_modes=n_modes, _rows=rows)
+    X, Y = read_only(np.asarray(X, dtype=float)), read_only(np.asarray(Y, dtype=float))
+    return GaussianChannel._trusted(X=X, Y=Y, modes=modes, n_modes=n_modes, _rows=rows)
 
 
 def _layers(block_modes):
@@ -153,54 +155,77 @@ def _layers(block_modes):
     A block joins the first layer after the last one that touches any of
     its modes and that has room for them within LAYER_MODES, opening a new
     layer when none has. So a layer's blocks act on distinct modes, and
-    blocks that share a mode sit in increasing layers, in order.
+    blocks that share a mode sit in increasing layers, in order. A layer's
+    width only grows, so once it has no room for a block width it never
+    will: `full` remembers, per width, the first layer that might still
+    have room, and the layers before it are not scanned again.
     """
-    layers, widths, after = [], [], {}   # after: mode -> first layer free of it
+    layers, widths, after, full = [], [], {}, {}   # after: mode -> first layer free of it
     for i, modes in enumerate(block_modes):
-        k = max(after.get(m, 0) for m in modes)
-        while k < len(layers) and widths[k] + len(modes) > LAYER_MODES:
+        width = len(modes)
+        first = k = full.get(width, 0)
+        for m in modes:   # a loop, not max(): this runs for every statement of a chip
+            free = after.get(m, 0)
+            if free > k:
+                k = free
+        scan = k == first   # then the layers from `first` to the one found are full for `width`
+        while k < len(layers) and widths[k] + width > LAYER_MODES:
             k += 1
+        if scan:
+            full[width] = k
         if k == len(layers):
             layers.append([])
             widths.append(0)
         layers[k].append(i)
-        widths[k] += len(modes)
+        widths[k] += width
+        k += 1
         for m in modes:
-            after[m] = k + 1
+            after[m] = k
     return layers
 
 
 def _layered(n_modes, blocks):
-    """Element channels of raw `(modes, X, Y or None)` blocks in order, one per layer of `_layers`.
+    """Element channels of raw `(modes, X, Y)` blocks in order, one per layer of `_layers`.
 
     A layer's channel acts on its blocks' modes in order, with the blocks'
     block-diagonal sum as its X and Y. Its blocks act on distinct modes and
     so commute, and applied in order the channels give the state of the
-    blocks applied one by one, in fewer applies. A layer of one block
-    takes that block as it is, and a Y of None (the zero block) is not
-    copied into the sum: copying both made `compile_spec` on the stress
-    benchmark's chips about 8 % slower.
+    blocks applied one by one, in fewer applies. Every layer's X and Y
+    live in one zeroed buffer that one scatter fills, and each channel
+    holds read-only views of its part.
     """
-    channels = []
-    for layer in _layers([modes for modes, _, _ in blocks]):
-        if len(layer) == 1:
-            modes, X, Y = blocks[layer[0]]
-            channels.append(_element(X, Y, n_modes, modes))
-            continue
+    parts, end = [], 0   # each layer's (modes, start in the buffer, size)
+    # rows -> the corners, layer sizes and values (X then Y, row by row) of the blocks of that many rows
+    groups = defaultdict(lambda: ([], [], []))
+    for layer in _layers([block[0] for block in blocks]):
         # from a list: tuple() of a generator resizes its guess, which strands each
         # freed tuple on a free list of a size it never takes from again
         modes = tuple([m for i in layer for m in blocks[i][0]])
-        X, Y = np.zeros((2, 2 * len(modes), 2 * len(modes)))
-        start = 0
+        size = 2 * len(modes)
+        corner = end   # where the next block's X[0][0] goes
         for i in layer:
-            block_modes, x, y = blocks[i]
-            end = start + 2 * len(block_modes)
-            X[start:end, start:end] = x
-            if y is not None:
-                Y[start:end, start:end] = y
-            start = end
-        channels.append(_element(X, Y, n_modes, modes))
-    return channels
+            _, X, Y = blocks[i]
+            corners, sizes, values = groups[len(X)]
+            corners.append(corner)
+            sizes.append(size)
+            for row in X:
+                values += row
+            for row in Y:
+                values += row
+            corner += len(X) * (size + 1)
+        parts.append((modes, end, size))
+        end += 2 * size * size
+    cells, values = [np.zeros(0, np.intp)], []   # the empty piece lets a chip with no blocks concatenate
+    for rows, (corners, sizes, group_values) in groups.items():
+        y, i, j = np.indices((2, rows, rows)).reshape(3, -1)   # Y flag, row and column of each value
+        sizes = np.array(sizes)[:, None]
+        cells.append(np.array(corners)[:, None] + sizes * (i + sizes * y) + j)
+        values += group_values
+    buffer = np.zeros(end)
+    buffer[np.concatenate(cells, axis=None)] = np.fromiter(values, float, len(values))
+    read_only(buffer)   # and so every view of it
+    return [_element(*buffer[start:start + 2 * size * size].reshape(2, size, size), n_modes, modes)
+            for modes, start, size in parts]
 
 
 def vacuum(n_modes):
@@ -216,21 +241,21 @@ def _check_mode(n_modes, mode):
 
 
 def squeeze_symplectic(r, phase=0.0):
-    """Single-mode squeezer, diag(e^-r, e^+r) with its axis rotated by `phase`."""
-    rot = phaseshift_symplectic(phase)
-    return (rot * [np.exp(-r), np.exp(r)]) @ rot.T   # rot @ diag(e^-r, e^r) @ rot.T
+    """Single-mode squeezer, diag(e^-r, e^+r) with its axis rotated by `phase`.
+
+    Raises ValueError when e^r is not a double or the phase is not finite.
+    """
+    return np.array(_squeezer_block(r, phase, 1.0)[0])
 
 
 def phaseshift_symplectic(theta):
     """Single-mode quadrature rotation."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return np.array(_phaseshift_block(theta)[0])
 
 
 def coupler_symplectic(ratio):
     """Two-mode coupler with power splitting ratio R, cos(theta) = sqrt(R)."""
-    t, s = np.sqrt(ratio), np.sqrt(1.0 - ratio)
-    return np.array([[t, 0.0, s, 0.0], [0.0, t, 0.0, s], [-s, 0.0, t, 0.0], [0.0, -s, 0.0, t]])
+    return np.array(_coupler_block(ratio)[0])
 
 
 def embed_single(block, mode, n_modes):
@@ -308,40 +333,47 @@ def reduce_modes(state, modes):
 
 
 def _squeezer_block(r, phase, excess):
-    """Raw (X, Y or None) block of a squeezer with r >= 0 and excess >= 1.
+    """Raw (X, Y) block, as lists of rows, of a squeezer with r >= 0 and excess >= 1.
 
-    Raises ValueError when the block's largest scale, e^r or (excess - 1)
-    e^2r, is not a double or the phase is not finite; NaN or inf in any
-    argument fails here too.
+    X is R(phase) diag(e^-r, e^r) R(phase)^T. Raises ValueError when e^-r,
+    e^r or the noise scale (excess - 1) e^2r is not a double or the phase
+    is not finite; NaN or inf in any argument fails here too.
     """
     try:
-        scale = math.exp(r) if excess == 1.0 else (excess - 1.0) * math.exp(2.0 * r)
+        shrink, grow = math.exp(-r), math.exp(r)
+        noise = 0.0 if excess == 1.0 else (excess - 1.0) * math.exp(2.0 * r)
     except OverflowError:
-        scale = math.inf
-    if not (math.isfinite(scale) and math.isfinite(phase)):
+        shrink = grow = noise = math.inf
+    if not (math.isfinite(shrink) and math.isfinite(grow) and math.isfinite(noise)
+            and math.isfinite(phase)):
         raise ValueError("channel contains non-finite values")
-    noise = None
-    if excess > 1.0:
-        # (excess - 1) e^2r on the antisqueezed axis (-sin, cos) of the rotated squeezer
-        axis = np.array([-np.sin(phase), np.cos(phase)])
-        noise = (excess - 1.0) * np.exp(2.0 * r) * np.outer(axis, axis)
-    return squeeze_symplectic(r, phase), noise
+    c, s = math.cos(phase), math.sin(phase)
+    (a, b), (d, e) = (c * shrink, -s * grow), (s * shrink, c * grow)   # R diag(e^-r, e^r)
+    # times R^T, each entry summed as a matrix product sums it: the factored form
+    # c s (e^-r - e^r) rounds differently, and past r ~ 9 the forward model's
+    # squeezed variance depends on those last bits
+    X = [[a * c + b * -s, a * s + b * c], [d * c + e * -s, d * s + e * c]]
+    cross = noise * -(s * c)   # the noise lies on the antisqueezed axis (-sin, cos)
+    return X, [[noise * (s * s), cross], [cross, noise * (c * c)]]
 
 
 def _phaseshift_block(theta):
-    """Raw (X, None) block of a phase shift by `theta`."""
-    return phaseshift_symplectic(theta), None
+    """Raw (X, Y) block, as lists of rows, of a phase shift by `theta`."""
+    c, s = math.cos(theta), math.sin(theta)
+    return [[c, -s], [s, c]], [[0.0, 0.0], [0.0, 0.0]]
 
 
 def _coupler_block(ratio):
-    """Raw (X, None) block of a coupler with power splitting `ratio` in [0, 1]."""
-    return coupler_symplectic(ratio), None
+    """Raw (X, Y) block, as lists of rows, of a coupler with power splitting `ratio` in [0, 1]."""
+    t, s = math.sqrt(ratio), math.sqrt(1.0 - ratio)
+    return ([[t, 0.0, s, 0.0], [0.0, t, 0.0, s], [-s, 0.0, t, 0.0], [0.0, -s, 0.0, t]],
+            [[0.0] * 4 for _ in range(4)])
 
 
 def _loss_block(eta):
-    """Raw (X, Y) block of a loss with transmission `eta` in [0, 1]."""
-    eye = np.eye(2)
-    return math.sqrt(eta) * eye, (1.0 - eta) * eye
+    """Raw (X, Y) block, as lists of rows, of a loss with transmission `eta` in [0, 1]."""
+    t, noise = math.sqrt(eta), 1.0 - eta
+    return [[t, 0.0], [0.0, t]], [[noise, 0.0], [0.0, noise]]
 
 
 def squeezer_channel(n_modes, mode, r, phase=0.0, excess=1.0):

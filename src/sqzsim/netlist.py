@@ -44,6 +44,9 @@ parameters, duplicate mode declarations, statements after the measurement)
 report unknown-keyword; a coupler naming the same mode twice reports
 out-of-range. Parameter values are validated before mode references, so
 `loss sig eta=1.2` is an out-of-range error even if `sig` is undeclared.
+A line's tokens are its `str.split()` words; the checks name the token
+at fault by its index, and a token's column is found only when an error
+reports it.
 """
 
 from __future__ import annotations
@@ -77,26 +80,45 @@ class NetlistParseError(Exception):
 
 
 class _StatementError(ValueError):
-    """A check across a statement's fields failed; `parse` reports `kind` at the first of `fields` given."""
+    """A statement's fields are at fault; `parse` reports `kind` at the token of the first of `fields` given."""
 
     def __init__(self, kind, fields, message):
         super().__init__(message)
         self.kind, self.fields = kind, fields
 
 
-def _err(kind, line, col, message):
-    raise NetlistParseError(kind, line, col, message)
+class _TokenError(Exception):
+    """Token `index` of a line is at fault; `parse` reports `kind` at its column."""
+
+    def __init__(self, kind, index, message):
+        super().__init__(message)
+        self.kind, self.index = kind, index
+
+
+def _err(kind, index, message):
+    raise _TokenError(kind, index, message)
+
+
+def _bad_number(key, message):
+    raise _StatementError("bad-number", (key,), message)
 
 
 def _tokenize(line):
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+    """A line's tokens: its text before any `#`, split at whitespace."""
+    return line.partition("#")[0].split()
 
 
-# a key's rule: `read(key, text, line, col)` checks a token's syntax, `fault(key, value,
-# text or None)` gives what is wrong with a value (a parse error of `kind`), `write` prints
+def _column(line, index):
+    """1-based column of token `index` of `line`: found again only when an error reports it.
+
+    `_TOKEN` matches exactly the runs `str.split()` gives.
+    """
+    return list(_TOKEN.finditer(line.partition("#")[0]))[index].start() + 1
+
+
+# a key's rule: `read(key, text)` checks a token's syntax, `fault(key, value, text or None)`
+# gives what is wrong with a value (a parse error of `kind`), `write` prints it; the errors
+# of both name the key, and the caller finds its token
 _Key = namedtuple("_Key", "read fault write kind", defaults=("out-of-range",))
 
 
@@ -107,12 +129,12 @@ def _is_number(value):
 
 def _number(holds, rule):
     """Rule of a finite number that satisfies `holds`; `rule` words the out-of-range error."""
-    def read(key, text, line, col):
+    def read(key, text):
         if not _NUMBER.match(text):
-            _err("bad-number", line, col, f"'{text}' is not a number")
+            _bad_number(key, f"'{text}' is not a number")
         value = float(text)
         if not math.isfinite(value):
-            _err("bad-number", line, col, f"'{text}' is not finite")
+            _bad_number(key, f"'{text}' is not finite")
         return value
 
     def fault(key, value, text):
@@ -127,17 +149,17 @@ def _label_fault(key, value, text):
     return None if ok else f"label '{value}' must be a lowercase identifier"
 
 
-def _read_sweep(key, text, line, col):
+def _read_sweep(key, text):
     parts = text.split(":")
     if len(parts) != 3:
-        _err("bad-number", line, col, f"sweep '{text}' must have the form a:b:n")
+        _bad_number(key, f"sweep '{text}' must have the form a:b:n")
     if not _NUMBER.match(parts[0]) or not _NUMBER.match(parts[1]):
-        _err("bad-number", line, col, f"sweep bounds in '{text}' are not numbers")
+        _bad_number(key, f"sweep bounds in '{text}' are not numbers")
     a, b = float(parts[0]), float(parts[1])
     if not math.isfinite(a) or not math.isfinite(b):
-        _err("bad-number", line, col, f"sweep bounds in '{text}' are not finite")
+        _bad_number(key, f"sweep bounds in '{text}' are not finite")
     if not _INT.match(parts[2]):
-        _err("bad-number", line, col, f"sweep count in '{text}' is not an integer")
+        _bad_number(key, f"sweep count in '{text}' is not an integer")
     digits = parts[2].lstrip("0") or "0"
     # int() refuses strings longer than 4300 digits; a count that long is over the cap anyway
     n = int(digits) if len(digits) <= len(str(MAX_SWEEP_POINTS)) else MAX_SWEEP_POINTS + 1
@@ -179,7 +201,7 @@ _KEYS = {
     "excess": _number(lambda v: v >= 1.0, "must be >= 1"),
     "eta": _IN_0_1, "ratio": _IN_0_1, "eta_pd": _IN_0_1, "eta_e": _IN_0_1, "visibility": _IN_0_1,
     "rbw": _ABOVE_0, "vbw": _ABOVE_0, "center_freq": _ABOVE_0, "sweep_time": _ABOVE_0,
-    "label": _Key(lambda key, text, line, col: text, _label_fault, str, "unknown-keyword"),
+    "label": _Key(lambda key, text: text, _label_fault, str, "unknown-keyword"),
     "sweep": _Key(_read_sweep, _sweep_fault, lambda sweep: f"{_fmt(sweep[0])}:{_fmt(sweep[1])}:{sweep[2]}"),
 }
 
@@ -337,44 +359,45 @@ def _check_declared(st, declared):
             raise _StatementError("undeclared-mode", (name,), f"mode '{getattr(st, name)}' is not declared")
 
 
-def _statement(kind, tokens, line, declared):
+def _statement(kind, tokens, declared):
     """The `kind` statement of a line's tokens, keyword first.
 
     Checks mode names, each parameter's key then value, the required keys
     and the kind's `_check` before it looks up the modes' declarations.
+    Raises _TokenError with the index of the token at fault.
     """
-    head, head_col = tokens[0]
     count = len(kind._mode_fields)
     if len(tokens) <= count:
-        _err("unknown-keyword", line, head_col, f"{head} needs {count} mode name(s)")
-    values, cols = {}, {}   # the record fields (mode names, then parameters) and their columns
-    for name, (text, col) in zip(kind._mode_fields, tokens[1:]):
-        if "=" in text:
-            _err("unknown-keyword", line, col, f"expected a mode name, got '{text}'")
-        values[name], cols[name] = text, col
-    for text, col in tokens[count + 1:]:
-        key, eq, given = text.partition("=")
-        if not eq:
-            _err("unknown-keyword", line, col, f"expected key=value, got '{text}'")
-        if key not in kind._params:
-            _err("unknown-keyword", line, col, f"unknown parameter '{key}'")
-        if key in values:
-            _err("unknown-keyword", line, col, f"duplicate parameter '{key}'")
-        rule = _KEYS[key]
-        value = rule.read(key, given, line, col)
-        message = rule.fault(key, value, given)
-        if message is not None:
-            _err(rule.kind, line, col, message)
-        values[key], cols[key] = value, col
+        _err("unknown-keyword", 0, f"{tokens[0]} needs {count} mode name(s)")
+    values, at = {}, {}   # the record fields (mode names, then parameters) and their token indices
     try:
+        for j, name in enumerate(kind._mode_fields, 1):
+            if "=" in tokens[j]:
+                _err("unknown-keyword", j, f"expected a mode name, got '{tokens[j]}'")
+            values[name], at[name] = tokens[j], j
+        for j in range(count + 1, len(tokens)):
+            key, eq, given = tokens[j].partition("=")
+            if not eq:
+                _err("unknown-keyword", j, f"expected key=value, got '{tokens[j]}'")
+            if key not in kind._params:
+                _err("unknown-keyword", j, f"unknown parameter '{key}'")
+            if key in values:
+                _err("unknown-keyword", j, f"duplicate parameter '{key}'")
+            at[key] = j
+            rule = _KEYS[key]
+            value = rule.read(key, given)
+            message = rule.fault(key, value, given)
+            if message is not None:
+                raise _StatementError(rule.kind, (key,), message)
+            values[key] = value
         missing = [key for key, (default, _) in kind._params.items() if default is MISSING and key not in values]
         if missing:
-            raise _missing(head, missing)
+            raise _missing(tokens[0], missing)
         statement = kind._trusted(**values)   # each value was checked as it was read
         statement._check()
         _check_declared(statement, declared)
     except _StatementError as exc:
-        _err(exc.kind, line, next((cols[name] for name in exc.fields if name in cols), head_col), str(exc))
+        _err(exc.kind, next((at[name] for name in exc.fields if name in at), 0), str(exc))
     return statement
 
 
@@ -396,36 +419,38 @@ def parse(source):
     measurement_line = None
 
     for line_no, raw in enumerate(lines, start=1):
-        tokens = _tokenize(raw.rstrip("\r"))
+        tokens = _tokenize(raw)
         if not tokens:
             continue
-        head, head_col = tokens[0]
-        kind = _KINDS.get(head)
-
-        if measurement is not None:
-            if kind is Homodyne:
-                _err("duplicate-measurement", line_no, head_col,
-                     f"second homodyne statement (first on line {measurement_line})")
-            _err("unknown-keyword", line_no, head_col, "no statements allowed after the homodyne measurement")
-
-        if head == "modes:":
-            if len(tokens) == 1:
-                _err("unknown-keyword", line_no, head_col, "modes: needs at least one identifier")
-            for text, col in tokens[1:]:
-                if not _IDENT.match(text):
-                    _err("unknown-keyword", line_no, col, f"'{text}' is not a valid mode identifier")
-                if text in declared:
-                    _err("unknown-keyword", line_no, col, f"duplicate mode declaration '{text}'")
-                declared[text] = None
-        elif kind is None:
-            _err("unknown-keyword", line_no, head_col, f"unknown statement '{head}'")
-        elif kind is Homodyne:
-            measurement, measurement_line = _statement(kind, tokens, line_no, declared), line_no
-        else:
-            statements.append(_statement(kind, tokens, line_no, declared))
+        try:
+            head = tokens[0]
+            kind = _KINDS.get(head)
+            if measurement is not None:
+                if kind is Homodyne:
+                    _err("duplicate-measurement", 0,
+                         f"second homodyne statement (first on line {measurement_line})")
+                _err("unknown-keyword", 0, "no statements allowed after the homodyne measurement")
+            if head == "modes:":
+                if len(tokens) == 1:
+                    _err("unknown-keyword", 0, "modes: needs at least one identifier")
+                for j, name in enumerate(tokens[1:], 1):
+                    if not _IDENT.match(name):
+                        _err("unknown-keyword", j, f"'{name}' is not a valid mode identifier")
+                    if name in declared:
+                        _err("unknown-keyword", j, f"duplicate mode declaration '{name}'")
+                    declared[name] = None
+            elif kind is None:
+                _err("unknown-keyword", 0, f"unknown statement '{head}'")
+            elif kind is Homodyne:
+                measurement, measurement_line = _statement(kind, tokens, declared), line_no
+            else:
+                statements.append(_statement(kind, tokens, declared))
+        except _TokenError as exc:
+            raise NetlistParseError(exc.kind, line_no, _column(raw, exc.index), str(exc)) from None
 
     if measurement is None:
-        _err("missing-measurement", len(lines), 1, "netlist has no homodyne measurement statement")
+        raise NetlistParseError("missing-measurement", len(lines), 1,
+                                "netlist has no homodyne measurement statement")
     # every part was checked on entry, so the spec's own checks would only repeat them
     return CircuitSpec._trusted(modes=tuple(declared), statements=tuple(statements), measurement=measurement)
 

@@ -22,7 +22,7 @@ from conftest import benchmark_module, random_circuit_spec
 from sqzsim import data_path, parse, report_to_json, run_spec, write_trace_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "digest_golden.json"
-DIGEST_SHA256 = "537398826a7ba996da9c01b5bc0029e048de182b2569d2a63f75fb47346aea88"
+DIGEST_SHA256 = "3c7a853d37a0a00a62da2437a4aac59a39b096857832a85fa30092f569b574ef"
 
 
 def _runs():

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit_spec, random_gaussian_state
@@ -19,6 +19,7 @@ from sqzsim import (
     apply_squeezer,
     compile_spec,
     output_state,
+    parse,
     quadrature_variance,
     reduce_modes,
     symplectic_form,
@@ -26,6 +27,8 @@ from sqzsim import (
     vacuum,
 )
 from sqzsim.gaussian import (
+    LAYER_MODES,
+    _layers,
     coupler_channel,
     coupler_symplectic,
     embed_pair,
@@ -327,6 +330,67 @@ def test_direct_overflowing_squeezer_raises_only_value_error(call):
         warnings.simplefilter("error")   # a numpy overflow warning would fail here
         with pytest.raises(ValueError, match="non-finite"):
             call()
+
+
+def test_symplectic_matrices_are_the_channel_blocks():
+    # one formula per element: the matrices are the X blocks the channels hold
+    np.testing.assert_array_equal(squeeze_symplectic(0.4, 1.1), squeezer_channel(1, 0, 0.4, 1.1).X)
+    np.testing.assert_array_equal(phaseshift_symplectic(-2.5), phaseshift_channel(1, 0, -2.5).X)
+    np.testing.assert_array_equal(coupler_symplectic(0.3), coupler_channel(2, 0, 1, 0.3).X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):   # e^710 is not a double
+            squeeze_symplectic(710.0)
+
+
+@pytest.mark.parametrize("statement,build", [
+    ("squeezer a r=0.4 phase=1.1 excess=1.2", lambda: squeezer_channel(2, 0, 0.4, 1.1, 1.2)),
+    ("squeezer b r=0.7", lambda: squeezer_channel(2, 1, 0.7)),
+    ("phaseshift b theta=-2.5", lambda: phaseshift_channel(2, 1, -2.5)),
+    ("coupler b a ratio=0.3", lambda: coupler_channel(2, 1, 0, 0.3)),
+    ("loss a eta=0.71", lambda: loss_channel(2, 0, 0.71)),
+], ids=["squeezer-excess", "squeezer", "phaseshift", "coupler", "loss"])
+def test_compiled_one_statement_chip_is_its_channel_bit_for_bit(statement, build):
+    spec = parse(f"modes: a b\n{statement}\nhomodyne a eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4\n")
+    [channel] = compile_spec(spec)[0]
+    want = build()
+    assert (channel.modes, channel.n_modes) == (want.modes, want.n_modes)
+    np.testing.assert_array_equal(channel.X, want.X)
+    np.testing.assert_array_equal(channel.Y, want.Y)
+    assert (channel.X.tobytes(), channel.Y.tobytes()) == (want.X.tobytes(), want.Y.tobytes())
+
+
+def _plain_layers(block_modes):
+    """The layering rule as a plain scan from each block's first free layer: the reference for `_layers`."""
+    layers, widths, after = [], [], {}   # after: mode -> first layer free of it
+    for i, modes in enumerate(block_modes):
+        k = max(after.get(m, 0) for m in modes)
+        while k < len(layers) and widths[k] + len(modes) > LAYER_MODES:
+            k += 1
+        if k == len(layers):
+            layers.append([])
+            widths.append(0)
+        layers[k].append(i)
+        widths[k] += len(modes)
+        for m in modes:
+            after[m] = k + 1
+    return layers
+
+
+_MODE = st.integers(0, 39)
+_BLOCK = st.one_of(st.tuples(_MODE), st.lists(_MODE, min_size=2, max_size=2, unique=True).map(tuple))
+# seven one-mode blocks on distinct modes leave a layer at 7 of LAYER_MODES, which a
+# two-mode block then skips and a later one-mode block can still fill
+_SEVEN = st.lists(_MODE, min_size=LAYER_MODES - 1, max_size=LAYER_MODES - 1, unique=True).map(
+    lambda modes: [(m,) for m in modes])
+
+
+@settings(max_examples=30)
+@given(st.lists(st.one_of(_BLOCK.map(lambda block: [block]), _SEVEN), max_size=30).map(
+    lambda runs: [block for run in runs for block in run]))
+@example([(m,) for m in range(7)] + [(7, 8), (9,), (0, 1), (10,)])
+def test_layers_are_those_of_the_plain_scan(block_modes):
+    assert _layers(block_modes) == _plain_layers(block_modes)
 
 
 def test_quadrature_variance_pi_periodic():

@@ -30,7 +30,7 @@ from sqzsim import (
     run_spec,
     vacuum,
 )
-from sqzsim.netlist import MAX_SWEEP_POINTS
+from sqzsim.netlist import _TOKEN, MAX_SWEEP_POINTS
 
 MINIMAL = "modes: sig\nsqueezer sig r=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:3.14159:64"
 
@@ -131,6 +131,35 @@ def test_crlf_comments_and_inline_comments():
     source = "# header\r\nmodes: sig\r\nsqueezer sig r=0.1 # pump off\r\n\r\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4\r\n"
     spec = parse(source)
     assert spec.statements[0].r == 0.1
+
+
+# separators beyond the fuzz alphabet's space, tab and \r: line tabulation, form feed, file
+# separator, next line, no-break space and ideographic space; none of them ends a line
+_SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000"]
+
+
+@pytest.mark.parametrize("sep", _SEPARATORS, ids=[f"U+{ord(c):04X}" for c in _SEPARATORS])
+@pytest.mark.parametrize("statement,index,kind", [
+    ("modes:{s}lo{s}{s}lo", 2, "unknown-keyword"),
+    ("bogus{s}sig", 0, "unknown-keyword"),
+    ("loss{s}lo{s}eta=0.5", 1, "undeclared-mode"),
+    ("loss{s}sig{s}{s}eta=1.5", 2, "out-of-range"),
+    ("loss{s}sig{s}eta=x", 2, "bad-number"),
+    ("squeezer{s}sig{s}r=0.1{s}r=0.2", 3, "unknown-keyword"),
+    ("squeezer{s}sig{s}pump_mw=4", 0, "unknown-keyword"),
+], ids=["duplicate-mode", "unknown-statement", "undeclared", "out-of-range", "bad-number",
+        "duplicate-parameter", "missing-parameter"])
+def test_error_columns_with_unicode_whitespace(sep, statement, index, kind):
+    line = sep * 2 + statement.format(s=sep) + sep + "# comment" + sep + "eta=2"
+    code = line.partition("#")[0]
+    assert code.split() == _TOKEN.findall(code)
+    e = err(f"modes: sig\n{line}\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4\n")
+    assert (e.kind, e.line, e.col) == (kind, 2, [m.start() + 1 for m in _TOKEN.finditer(code)][index])
+
+
+def test_token_pattern_splits_like_str_split_on_every_code_point():
+    text = "x".join(map(chr, range(0x110000)))
+    assert text.split() == _TOKEN.findall(text)
 
 
 def test_parse_accepts_bytes():
