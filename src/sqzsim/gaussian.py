@@ -241,21 +241,18 @@ def _check_mode(n_modes, mode):
 
 
 def squeeze_symplectic(r, phase=0.0):
-    """Single-mode squeezer, diag(e^-r, e^+r) with its axis rotated by `phase`.
-
-    Raises ValueError when e^r is not a double or the phase is not finite.
-    """
-    return np.array(_squeezer_block(r, phase, 1.0)[0])
+    """Single-mode squeezer diag(e^-r, e^+r), axis rotated by `phase`: `squeezer_channel`'s X, checked alike."""
+    return squeezer_channel(1, 0, r, phase).X.copy()
 
 
 def phaseshift_symplectic(theta):
-    """Single-mode quadrature rotation."""
-    return np.array(_phaseshift_block(theta)[0])
+    """Single-mode quadrature rotation: `phaseshift_channel`'s X, checked alike."""
+    return phaseshift_channel(1, 0, theta).X.copy()
 
 
 def coupler_symplectic(ratio):
-    """Two-mode coupler with power splitting ratio R, cos(theta) = sqrt(R)."""
-    return np.array(_coupler_block(ratio)[0])
+    """Two-mode coupler, power splitting ratio R and cos(theta) = sqrt(R): `coupler_channel`'s X, checked alike."""
+    return coupler_channel(2, 0, 1, ratio).X.copy()
 
 
 def embed_single(block, mode, n_modes):

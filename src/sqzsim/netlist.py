@@ -44,9 +44,10 @@ parameters, duplicate mode declarations, statements after the measurement)
 report unknown-keyword; a coupler naming the same mode twice reports
 out-of-range. Parameter values are validated before mode references, so
 `loss sig eta=1.2` is an out-of-range error even if `sig` is undeclared.
-A line's tokens are its `str.split()` words; the checks name the token
-at fault by its index, and a token's column is found only when an error
-reports it.
+A line's tokens are its `str.split()` words. A fault names a token index
+(a structural fault) or the fields at fault (a value rule, a cross-field
+check, a missing key, an undeclared mode); both the token and its column
+are found only when an error reports them.
 """
 
 from __future__ import annotations
@@ -80,45 +81,43 @@ class NetlistParseError(Exception):
 
 
 class _StatementError(ValueError):
-    """A statement's fields are at fault; `parse` reports `kind` at the token of the first of `fields` given."""
+    """A netlist line or a statement's fields are at fault; `parse` reports `kind` at the token `where` names.
 
-    def __init__(self, kind, fields, message):
+    `where` is a token index, or the names of the fields at fault (see `_column`).
+    """
+
+    def __init__(self, kind, where, message):
         super().__init__(message)
-        self.kind, self.fields = kind, fields
+        self.kind, self.where = kind, where
 
 
-class _TokenError(Exception):
-    """Token `index` of a line is at fault; `parse` reports `kind` at its column."""
-
-    def __init__(self, kind, index, message):
-        super().__init__(message)
-        self.kind, self.index = kind, index
+def _err(kind, where, message):
+    raise _StatementError(kind, where, message)
 
 
-def _err(kind, index, message):
-    raise _TokenError(kind, index, message)
+def _column(line, where):
+    """1-based column of the token at fault in `line`: found again only when an error reports it.
 
-
-def _bad_number(key, message):
-    raise _StatementError("bad-number", (key,), message)
-
-
-def _tokenize(line):
-    """A line's tokens: its text before any `#`, split at whitespace."""
-    return line.partition("#")[0].split()
-
-
-def _column(line, index):
-    """1-based column of token `index` of `line`: found again only when an error reports it.
-
+    `where` is a token index, or field names of the line's statement: a
+    mode field's token follows the keyword, in field order, and a
+    parameter's is the first token that gives its key; the first of the
+    fields that the line gives is at fault, else the keyword.
     `_TOKEN` matches exactly the runs `str.split()` gives.
     """
-    return list(_TOKEN.finditer(line.partition("#")[0]))[index].start() + 1
+    spans = list(_TOKEN.finditer(line.partition("#")[0]))
+    if not isinstance(where, int):
+        tokens = [span.group() for span in spans]
+        modes = _KINDS[tokens[0]]._mode_fields
+        at = {name: j for j, name in enumerate(modes, 1)}
+        for j in range(len(modes) + 1, len(tokens)):
+            at.setdefault(tokens[j].partition("=")[0], j)
+        where = next((at[name] for name in where if name in at), 0)
+    return spans[where].start() + 1
 
 
 # a key's rule: `read(key, text)` checks a token's syntax, `fault(key, value, text or None)`
 # gives what is wrong with a value (a parse error of `kind`), `write` prints it; the errors
-# of both name the key, and the caller finds its token
+# of both name the key, whose token `_column` finds on error
 _Key = namedtuple("_Key", "read fault write kind", defaults=("out-of-range",))
 
 
@@ -131,10 +130,10 @@ def _number(holds, rule):
     """Rule of a finite number that satisfies `holds`; `rule` words the out-of-range error."""
     def read(key, text):
         if not _NUMBER.match(text):
-            _bad_number(key, f"'{text}' is not a number")
+            _err("bad-number", (key,), f"'{text}' is not a number")
         value = float(text)
         if not math.isfinite(value):
-            _bad_number(key, f"'{text}' is not finite")
+            _err("bad-number", (key,), f"'{text}' is not finite")
         return value
 
     def fault(key, value, text):
@@ -152,14 +151,14 @@ def _label_fault(key, value, text):
 def _read_sweep(key, text):
     parts = text.split(":")
     if len(parts) != 3:
-        _bad_number(key, f"sweep '{text}' must have the form a:b:n")
+        _err("bad-number", (key,), f"sweep '{text}' must have the form a:b:n")
     if not _NUMBER.match(parts[0]) or not _NUMBER.match(parts[1]):
-        _bad_number(key, f"sweep bounds in '{text}' are not numbers")
+        _err("bad-number", (key,), f"sweep bounds in '{text}' are not numbers")
     a, b = float(parts[0]), float(parts[1])
     if not math.isfinite(a) or not math.isfinite(b):
-        _bad_number(key, f"sweep bounds in '{text}' are not finite")
+        _err("bad-number", (key,), f"sweep bounds in '{text}' are not finite")
     if not _INT.match(parts[2]):
-        _bad_number(key, f"sweep count in '{text}' is not an integer")
+        _err("bad-number", (key,), f"sweep count in '{text}' is not an integer")
     digits = parts[2].lstrip("0") or "0"
     # int() refuses strings longer than 4300 digits; a count that long is over the cap anyway
     n = int(digits) if len(digits) <= len(str(MAX_SWEEP_POINTS)) else MAX_SWEEP_POINTS + 1
@@ -364,40 +363,36 @@ def _statement(kind, tokens, declared):
 
     Checks mode names, each parameter's key then value, the required keys
     and the kind's `_check` before it looks up the modes' declarations.
-    Raises _TokenError with the index of the token at fault.
+    Raises _StatementError naming the token index, or the fields, at fault.
     """
     count = len(kind._mode_fields)
     if len(tokens) <= count:
         _err("unknown-keyword", 0, f"{tokens[0]} needs {count} mode name(s)")
-    values, at = {}, {}   # the record fields (mode names, then parameters) and their token indices
-    try:
-        for j, name in enumerate(kind._mode_fields, 1):
-            if "=" in tokens[j]:
-                _err("unknown-keyword", j, f"expected a mode name, got '{tokens[j]}'")
-            values[name], at[name] = tokens[j], j
-        for j in range(count + 1, len(tokens)):
-            key, eq, given = tokens[j].partition("=")
-            if not eq:
-                _err("unknown-keyword", j, f"expected key=value, got '{tokens[j]}'")
-            if key not in kind._params:
-                _err("unknown-keyword", j, f"unknown parameter '{key}'")
-            if key in values:
-                _err("unknown-keyword", j, f"duplicate parameter '{key}'")
-            at[key] = j
-            rule = _KEYS[key]
-            value = rule.read(key, given)
-            message = rule.fault(key, value, given)
-            if message is not None:
-                raise _StatementError(rule.kind, (key,), message)
-            values[key] = value
-        missing = [key for key, (default, _) in kind._params.items() if default is MISSING and key not in values]
-        if missing:
-            raise _missing(tokens[0], missing)
-        statement = kind._trusted(**values)   # each value was checked as it was read
-        statement._check()
-        _check_declared(statement, declared)
-    except _StatementError as exc:
-        _err(exc.kind, next((at[name] for name in exc.fields if name in at), 0), str(exc))
+    values = {}   # the record fields: mode names, then parameters
+    for j, name in enumerate(kind._mode_fields, 1):
+        if "=" in tokens[j]:
+            _err("unknown-keyword", j, f"expected a mode name, got '{tokens[j]}'")
+        values[name] = tokens[j]
+    for j in range(count + 1, len(tokens)):
+        key, eq, given = tokens[j].partition("=")
+        if not eq:
+            _err("unknown-keyword", j, f"expected key=value, got '{tokens[j]}'")
+        if key not in kind._params:
+            _err("unknown-keyword", j, f"unknown parameter '{key}'")
+        if key in values:
+            _err("unknown-keyword", j, f"duplicate parameter '{key}'")
+        rule = _KEYS[key]
+        value = rule.read(key, given)
+        message = rule.fault(key, value, given)
+        if message is not None:
+            _err(rule.kind, (key,), message)
+        values[key] = value
+    missing = [key for key, (default, _) in kind._params.items() if default is MISSING and key not in values]
+    if missing:
+        raise _missing(tokens[0], missing)
+    statement = kind._trusted(**values)   # each value was checked as it was read
+    statement._check()
+    _check_declared(statement, declared)
     return statement
 
 
@@ -418,11 +413,11 @@ def parse(source):
     measurement = None
     measurement_line = None
 
-    for line_no, raw in enumerate(lines, start=1):
-        tokens = _tokenize(raw)
-        if not tokens:
-            continue
-        try:
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            tokens = raw.partition("#")[0].split()
+            if not tokens:
+                continue
             head = tokens[0]
             kind = _KINDS.get(head)
             if measurement is not None:
@@ -445,8 +440,8 @@ def parse(source):
                 measurement, measurement_line = _statement(kind, tokens, declared), line_no
             else:
                 statements.append(_statement(kind, tokens, declared))
-        except _TokenError as exc:
-            raise NetlistParseError(exc.kind, line_no, _column(raw, exc.index), str(exc)) from None
+    except _StatementError as exc:
+        raise NetlistParseError(exc.kind, line_no, _column(raw, exc.where), str(exc)) from None
 
     if measurement is None:
         raise NetlistParseError("missing-measurement", len(lines), 1,

@@ -343,6 +343,24 @@ def test_symplectic_matrices_are_the_channel_blocks():
             squeeze_symplectic(710.0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: phaseshift_symplectic(math.nan), "channel contains non-finite values"),
+    (lambda: phaseshift_symplectic(math.inf), "channel contains non-finite values"),
+    (lambda: coupler_symplectic(math.nan), r"ratio must lie in \[0, 1\], got nan"),
+    (lambda: coupler_symplectic(1.5), r"ratio must lie in \[0, 1\], got 1.5"),
+    (lambda: squeeze_symplectic(-1.0), "squeezing parameter r must be >= 0"),
+], ids=["theta-nan", "theta-inf", "ratio-nan", "ratio-1.5", "r-negative"])
+def test_symplectic_matrices_reject_what_their_channels_reject(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_symplectic_matrices_are_writable_copies():
+    matrix = coupler_symplectic(0.3)
+    matrix[0, 0] = 2.0
+    assert coupler_symplectic(0.3)[0, 0] == math.sqrt(0.3)
+
+
 @pytest.mark.parametrize("statement,build", [
     ("squeezer a r=0.4 phase=1.1 excess=1.2", lambda: squeezer_channel(2, 0, 0.4, 1.1, 1.2)),
     ("squeezer b r=0.7", lambda: squeezer_channel(2, 1, 0.7)),

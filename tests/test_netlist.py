@@ -60,43 +60,47 @@ def test_out_of_range_reported_before_mode_resolution():
     assert "out-of-range" in str(e)
 
 
-@pytest.mark.parametrize("source,kind,line", [
-    ("modes: sig\nwobble sig r=1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2),
-    ("modes: sig\nsqueezer sig r=1 bogus=2\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2),
-    ("modes: sig\nsqueezer sig r=1 r=2\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2),
-    ("modes: sig\nsqueezer sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2),
-    ("modes: sig\nsqueezer sig r=1 pump_mw=4 gain=0.1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2),
-    ("modes: sig\nsqueezer sig pump_mw=4\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2),
-    ("modes: sig sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 1),
-    ("modes: sig\nsqueezer nope r=1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "undeclared-mode", 2),
-    ("modes: sig\nloss sig eta=abc\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2),
-    ("modes: sig\nloss sig eta=nan\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2),
-    ("modes: sig\nloss sig eta=1e\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2),
-    ("modes: sig\nloss sig eta=1e999\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2),
-    ("modes: sig\nsqueezer sig r=-0.1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2),
-    ("modes: sig\nsqueezer sig r=0.1 excess=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1\n", "bad-number", 2),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:x\n", "bad-number", 2),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:1\n", "out-of-range", 2),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1:1:8\n", "out-of-range", 2),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:1000000000\n", "out-of-range", 2),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1e308:-1e308:8\n", "out-of-range", 2),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1e17:1.0000000000000002e17:4\n", "out-of-range", 2),
+@pytest.mark.parametrize("source,kind,line,col", [
+    ("modes: sig\nwobble sig r=1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2, 1),
+    ("modes: sig\nsqueezer sig r=1 bogus=2\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2, 18),
+    ("modes: sig\nsqueezer sig r=1 r=2\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2, 18),
+    ("modes: sig\nsqueezer sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2, 1),
+    ("modes: sig\nsqueezer sig r=1 pump_mw=4 gain=0.1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2, 14),
+    ("modes: sig\nsqueezer sig pump_mw=4\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2, 1),
+    ("modes: sig sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 1, 12),
+    ("modes: sig\nsqueezer nope r=1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "undeclared-mode", 2, 10),
+    ("modes: sig\nloss sig eta=abc\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2, 10),
+    ("modes: sig\nloss sig eta=nan\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2, 10),
+    ("modes: sig\nloss sig eta=1e\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2, 10),
+    ("modes: sig\nloss sig eta=1e999\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2, 10),
+    ("modes: sig\nsqueezer sig r=-0.1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2, 14),
+    ("modes: sig\nsqueezer sig r=0.1 excess=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2, 20),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1\n", "bad-number", 2, 41),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:x\n", "bad-number", 2, 41),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:1\n", "out-of-range", 2, 41),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1:1:8\n", "out-of-range", 2, 41),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:1000000000\n", "out-of-range", 2, 41),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1e308:-1e308:8\n", "out-of-range", 2, 41),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1e17:1.0000000000000002e17:4\n", "out-of-range", 2, 41),
     pytest.param("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:" + "9" * 5000,
-                 "out-of-range", 2, id="sweep-count-of-5000-digits"),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 vbw=2e6\n", "out-of-range", 2),
+                 "out-of-range", 2, 41, id="sweep-count-of-5000-digits"),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 vbw=2e6\n", "out-of-range", 2, 53),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 rbw=1e300 vbw=1e-300\n",
-     "out-of-range", 2),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 center_freq=0\n", "out-of-range", 2),
-    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 sweep_time=-1\n", "out-of-range", 2),
-    ("modes: sig lo\ncoupler sig sig ratio=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2),
-    ("modes: sig\nsqueezer sig r=0.5\n", "missing-measurement", 3),
-    ("", "missing-measurement", 1),
+     "out-of-range", 2, 63),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 center_freq=0\n", "out-of-range", 2, 53),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 sweep_time=-1\n", "out-of-range", 2, 53),
+    ("modes: sig lo\ncoupler sig sig ratio=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2, 13),
+    ("modes: sig\nloss zz eta=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "undeclared-mode", 2, 6),
+    ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 rbw=10 vbw=30\n", "out-of-range", 2, 60),
+    # a key given twice is at fault at its first token
+    ("modes: sig\nloss sig eta=abc eta=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "bad-number", 2, 10),
+    ("modes: sig\nloss sig eta=2 eta=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "out-of-range", 2, 10),
+    ("modes: sig\nsqueezer sig r=0.5\n", "missing-measurement", 3, 1),
+    ("", "missing-measurement", 1, 1),
 ])
-def test_error_kinds_and_positions(source, kind, line):
+def test_error_kinds_and_positions(source, kind, line, col):
     e = err(source)
-    assert e.kind == kind
-    assert e.line == line
+    assert (e.kind, e.line, e.col) == (kind, line, col)
 
 
 @pytest.mark.parametrize("sweep", ["2.5:2.50:720", "0:1:100001", "1e308:-1e308:8",
