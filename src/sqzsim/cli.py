@@ -11,7 +11,9 @@ flag keeps its last value, and positionals may stand among the flags.
 `-h` or `--help`, alone or after a command, prints usage from the table.
 Numeric stdout is printed at full precision with a `.` decimal point.
 Sibling modules are bound as modules and their functions read at call
-time, so a command runs only the sqzsim modules it calls.
+time, so a command runs only the sqzsim modules it calls. Of the commands,
+only `simulate --seed` loads numpy: `simulate --noiseless` walks the chip
+over Python floats (`simulate.run_noiseless`).
 """
 
 import io
@@ -86,10 +88,14 @@ def cmd_simulate(args):
     for flag, path in (("--csv", args.csv), ("--report", args.report)):
         if os.path.realpath(path) == netlist_path:
             raise ValueError(f"{flag} names the netlist {args.netlist!r}")
-    trace, report = simulate.run_spec(spec, noiseless=args.noiseless, seed=args.seed)
-    _write_all({args.csv: homodyne.write_trace_csv(trace, io.StringIO()),
-                args.report: budget.report_to_json(report)})
-    print(f"wrote {args.csv} ({trace.phases.size} points)")
+    if args.noiseless:   # the walk over Python floats: this route loads no numpy
+        phases, variance_db, report = simulate.run_noiseless(spec)
+        csv = homodyne.trace_csv(phases, variance_db)
+    else:
+        trace, report = simulate.run_spec(spec, noiseless=False, seed=args.seed)
+        phases, csv = trace.phases, homodyne.write_trace_csv(trace, io.StringIO())
+    _write_all({args.csv: csv, args.report: budget.report_to_json(report)})
+    print(f"wrote {args.csv} ({len(phases)} points)")
     print(f"wrote {args.report}")
     print(f"raw squeezing {report.raw_sq_db!r} dB, antisqueezing {report.raw_asq_db!r} dB")
     return EXIT_OK

@@ -1,10 +1,13 @@
-"""The rules every layer shares: the [0, 1] efficiency check, the loss model and dB.
+"""The rules every layer shares: the [0, 1] efficiency check, the loss model, dB and a squeezer's scales.
 
 All variances are normalised to the vacuum (shot-noise) level: 10*log10(V) is
 the dB value on a squeezing trace, and efficiency eta takes V to eta*V + (1 - eta).
-Scalars come back as plain floats, arrays as arrays. An int or float goes
-through `math`, anything else through numpy, imported in that branch alone, so
-a scalar command never loads it.
+Scalars come back as plain floats, lists as lists and arrays as arrays. An
+int, a float or each item of a list goes through `math`, anything else
+through numpy, imported in that branch alone, so a scalar command never
+loads it. `simulate` converts its model trace as a list on both of its
+routes, so both print the same bits (`math.log10` and `np.log10` differ in
+the last bit on some values).
 Both branches give the same edge values without a warning: to_db is -inf at 0
 and nan below 0, from_db is inf beyond a double.
 """
@@ -30,15 +33,32 @@ def detected(v, eta):
 
 
 def to_db(variance):
-    """Convert a shot-noise-normalised variance to dB: -inf at 0, nan below 0 or at nan."""
+    """Convert a shot-noise-normalised variance (or each of a list or array) to dB: -inf at 0, nan below 0 or at nan."""
+    if isinstance(variance, list):
+        return [10.0 * math.log10(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan for v in variance]
     if isinstance(variance, (int, float)):
-        if variance > 0.0:
-            return 10.0 * math.log10(variance)
-        return -math.inf if variance == 0.0 else math.nan
+        return to_db([variance])[0]
     import numpy as np
 
     with np.errstate(divide="ignore", invalid="ignore"):
         return _as_scalar_or_array(10.0 * np.log10(variance))
+
+
+def squeezer_scales(r, excess):
+    """(e^-r, e^r, (excess - 1) e^2r) of a squeezer with r >= 0 and excess >= 1.
+
+    The one check of both squeezer models, the channel block and the
+    backward walk: ValueError when one of the three is not a double; NaN or
+    inf in either argument fails here too. The noise scale is 0 at excess 1.
+    """
+    try:
+        shrink, grow = math.exp(-r), math.exp(r)
+        noise = 0.0 if excess == 1.0 else (excess - 1.0) * math.exp(2.0 * r)
+    except OverflowError:
+        shrink = grow = noise = math.inf
+    if not (math.isfinite(shrink) and math.isfinite(grow) and math.isfinite(noise)):
+        raise ValueError("channel contains non-finite values")
+    return shrink, grow, noise
 
 
 def from_db(db):

@@ -28,7 +28,7 @@ from collections import defaultdict
 import numpy as np
 
 from ._record import Record, read_only
-from .conversions import _as_scalar_or_array, check_unit
+from .conversions import _as_scalar_or_array, check_unit, squeezer_scales
 
 LAYER_MODES = 8          # most modes one layer of `_layered` acts on, so its block stays small on a wide chip
 SYMMETRY_RTOL = 1e-12    # relative symmetry tolerance for covariance input
@@ -333,17 +333,12 @@ def _squeezer_block(r, phase, excess):
     """Raw (X, Y) block, as lists of rows, of a squeezer with r >= 0 and excess >= 1.
 
     X is R(phase) diag(e^-r, e^r) R(phase)^T. Raises ValueError when e^-r,
-    e^r or the noise scale (excess - 1) e^2r is not a double or the phase
-    is not finite; NaN or inf in any argument fails here too.
+    e^r or the noise scale (excess - 1) e^2r is not a double (`squeezer_scales`)
+    or the phase is not finite; NaN or inf in any argument fails here too.
     """
-    try:
-        shrink, grow = math.exp(-r), math.exp(r)
-        noise = 0.0 if excess == 1.0 else (excess - 1.0) * math.exp(2.0 * r)
-    except OverflowError:
-        shrink = grow = noise = math.inf
-    if not (math.isfinite(shrink) and math.isfinite(grow) and math.isfinite(noise)
-            and math.isfinite(phase)):
+    if not math.isfinite(phase):
         raise ValueError("channel contains non-finite values")
+    shrink, grow, noise = squeezer_scales(r, excess)
     c, s = math.cos(phase), math.sin(phase)
     (a, b), (d, e) = (c * shrink, -s * grow), (s * shrink, c * grow)   # R diag(e^-r, e^r)
     # times R^T, each entry summed as a matrix product sums it: the factored form

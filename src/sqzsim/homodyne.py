@@ -6,15 +6,21 @@ reads eta * V(theta) + (1 - eta) off the measured mode's 2x2 covariance
 block. Spectrum-analyser traces are noiseless variance-vs-phase sweeps in
 dB, optionally dressed with the finite RBW/VBW estimator scatter, which
 depends only on M = rbw/vbw.
+
+The sweep's phases (`phase_at`) and the CSV text (`trace_csv`) each have one
+formula, for numpy arrays and for Python floats alike, so `simulate`'s
+noiseless route, which runs without numpy, writes the bytes of its array
+route. numpy is imported by the functions that compute with arrays, so
+importing this module loads none.
 """
+
+from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from . import gaussian
 from ._record import Record, read_only
 from .conversions import detected, from_db, to_db
-from .gaussian import quadrature_variance
 
 
 class HomodyneTrace(Record, eq=False):
@@ -24,6 +30,8 @@ class HomodyneTrace(Record, eq=False):
     variance_db: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         phases = np.array(self.phases, dtype=float)
         variance_db = np.array(self.variance_db, dtype=float)
         if phases.ndim != 1 or phases.shape != variance_db.shape:
@@ -58,16 +66,28 @@ def measure_variance(state, mode, theta, eta):
     `theta` is a scalar (gives a float) or an array of LO phases; eta must
     lie in [0, 1].
     """
-    return detected(quadrature_variance(state, mode, theta), eta)
+    return detected(gaussian.quadrature_variance(state, mode, theta), eta)
+
+
+def phase_at(a, b, n, k):
+    """LO phase k of n equally spaced ones from a (inclusive) to b (exclusive).
+
+    `k` is an int or an integer array: one formula gives the same doubles either way.
+    """
+    return a + (b - a) / n * k
 
 
 def phase_grid(a, b, n):
-    """n equally spaced LO phases from a (inclusive) to b (exclusive)."""
-    return a + (b - a) / n * np.arange(n)
+    """n equally spaced LO phases from a (inclusive) to b (exclusive), as an array."""
+    import numpy as np
+
+    return phase_at(a, b, n, np.arange(n))
 
 
 def sweep(state, mode, eta, phases):
     """Noiseless trace in dB at efficiency eta over a 1-D array of at least 2 LO phases."""
+    import numpy as np
+
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 2:
         raise ValueError("sweep needs at least 2 points")
@@ -87,15 +107,20 @@ def synthesize_trace(trace, m_samples, seed):
         raise ValueError(f"need 1 <= M = rbw/vbw < inf, got M={m_samples!r}")
     if seed is None:
         raise ValueError("a seed is required to synthesize estimator noise")
+    import numpy as np
+
     factors = np.random.default_rng(seed).gamma(m_samples / 2.0, 2.0 / m_samples,
                                                 trace.variance_db.size)
     return HomodyneTrace(trace.phases, to_db(from_db(trace.variance_db) * factors))
 
 
+def trace_csv(phases, variance_db):
+    """`phase_rad,variance_db` CSV text (LF endings, `.` decimal point) of two sequences of floats."""
+    return "phase_rad,variance_db\n" + "".join(f"{p!r},{v!r}\n" for p, v in zip(phases, variance_db))
+
+
 def write_trace_csv(trace, stream):
-    """Write `phase_rad,variance_db` CSV rows (LF endings, `.` decimal point) to a text stream; return the text."""
-    text = "phase_rad,variance_db\n" + "".join(
-        f"{p!r},{v!r}\n" for p, v in zip(trace.phases.tolist(), trace.variance_db.tolist())
-    )
+    """Write a trace's `trace_csv` text to a text stream; return the text."""
+    text = trace_csv(trace.phases.tolist(), trace.variance_db.tolist())
     stream.write(text)
     return text

@@ -28,14 +28,15 @@ produced from vacuum, with 1.0 the pure minimum-uncertainty squeezer.
 Exactly one homodyne statement is required and nothing may follow it.
 
 Each statement kind is one `_Statement` subclass, a frozen `_record.Record`
-declared with its keyword. Its fields, its cross-field `_check` and its
-`_block` builder are what `parse`, `pretty_print` and `compile_spec`
-read; `_KEYS` holds each key's value rule once. A new element is one
-class. The statement records and `CircuitSpec` check themselves on
-construction with the parser's rules, so any spec is one `parse` accepts;
-`parse` itself checks each value once, as it reads it, and builds its
-statements and spec with `Record._trusted`, running only each statement's
-`_check`.
+declared with its keyword. Its fields, its cross-field `_check`, its
+`_block` builder and its `_back` step are what `parse`, `pretty_print`,
+`compile_spec` and `simulate`'s backward walk read; `_KEYS` holds each
+key's value rule once. A new element is one class. The statement records
+and `CircuitSpec` check themselves on construction with the parser's
+rules, so any spec is one `parse` accepts; `parse` itself checks each
+value once, as it reads it (a number's syntax, then only its range), and
+builds its statements and spec with `Record._trusted`, running only each
+statement's `_check`.
 
 Errors carry a position and one of six kinds: unknown-keyword,
 undeclared-mode, bad-number, out-of-range, duplicate-measurement,
@@ -48,6 +49,14 @@ A line's tokens are its `str.split()` words. A fault names a token index
 (a structural fault) or the fields at fault (a value rule, a cross-field
 check, a missing key, an undeclared mode); both the token and its column
 are found only when an error reports them.
+
+`_back` is a statement's step of the backward (Heisenberg-picture) walk
+that computes the measured quadrature's variance (see `simulate`). Each mode
+in the measured mode's backward light cone carries a pair (w, alpha): the
+quadrature's coefficient vector on that mode is R(alpha) w. A step uses
+`cos` and `sin` as given, numpy's or `math`'s, and otherwise only +, - and
+*, so the same step runs on an array of all LO phases or on one float.
+This module imports no numpy.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ from collections import namedtuple
 
 from . import budget, gaussian, homodyne   # looked up at call time: parsing runs neither of the last two
 from ._record import MISSING, Record
+from .conversions import squeezer_scales
 
 VERSION_HEADER = "# sqzsim netlist v1"
 MAX_SWEEP_POINTS = 100_000
@@ -117,7 +127,9 @@ def _column(line, where):
 
 # a key's rule: `read(key, text)` checks a token's syntax, `fault(key, value, text or None)`
 # gives what is wrong with a value (a parse error of `kind`), `write` prints it; the errors
-# of both name the key, whose token `_column` finds on error
+# of both name the key, whose token `_column` finds on error. `text` is None for a value
+# given to a public constructor; with it, the value was read from it, so a number is a
+# finite float and only its range is left to check
 _Key = namedtuple("_Key", "read fault write kind", defaults=("out-of-range",))
 
 
@@ -137,7 +149,7 @@ def _number(holds, rule):
         return value
 
     def fault(key, value, text):
-        if not _is_number(value):
+        if text is None and not _is_number(value):
             return f"{key}={value!r} is not a finite int or float that a double holds exactly"
         return None if holds(value) else f"{key}={repr(value) if text is None else text} {rule}"
     return _Key(read, fault, _fmt)
@@ -210,6 +222,20 @@ def _missing(keyword, keys):
     return _StatementError("unknown-keyword", (), message)
 
 
+FRAME_LIMIT = 64.0   # rad: a larger angle enters the backward walk reduced to one turn
+
+
+def frame_angle(angle):
+    """`angle` as the backward walk carries it in a frame angle alpha.
+
+    Up to FRAME_LIMIT in size, the angle itself: frame angles are only
+    added and subtracted, so shifts along one axis compose to exactly 0. A
+    larger one, next to which a small angle's last bits would round away,
+    is reduced to (-pi, pi] through `math`'s exact argument reduction.
+    """
+    return angle if -FRAME_LIMIT <= angle <= FRAME_LIMIT else math.atan2(math.sin(angle), math.cos(angle))
+
+
 _KINDS = {}   # keyword -> statement class, filled as each class is declared
 
 
@@ -218,6 +244,9 @@ class _Statement(Record):
 
     Fields with a `_KEYS` rule are the kind's `_params`, name -> (default, fault); the others name modes.
     `_block(at)` is its raw channel block for `gaussian._layered`, `at` giving a mode's index.
+    `_back(cone, cos, sin)` is its backward step: it updates the (w1, w2, alpha) of its modes in
+    `cone` and returns the variance it adds to the measured quadrature, or None when it adds
+    none or acts on no mode of the cone.
     Construction checks mode fields are str and the others obey their rule, then runs `_check`.
     """
 
@@ -263,6 +292,23 @@ class Squeezer(_Statement, keyword="squeezer"):
     def _block(self, at):
         return (at[self.mode],), *gaussian._squeezer_block(self.effective_r(), self.phase, self.excess)
 
+    def _back(self, cone, cos, sin):
+        """y = R(alpha - phase) w; adds (excess - 1)(e^r y2)^2, then w = (e^-r y1, e^r y2), alpha = phase.
+
+        The angle is one subtraction, so a phase on the squeezer's axis gives y2 = 0 exactly.
+        Raises the error of `gaussian._squeezer_block` for the same r and excess.
+        """
+        if self.mode not in cone:
+            return None
+        w1, w2, alpha = cone[self.mode]
+        shrink, grow, _ = squeezer_scales(self.effective_r(), self.excess)
+        phase = frame_angle(self.phase)
+        d = alpha - phase
+        c, s = cos(d), sin(d)
+        y2 = grow * (s * w1 + c * w2)
+        cone[self.mode] = (shrink * (c * w1 - s * w2), y2, phase)
+        return None if self.excess == 1.0 else (self.excess - 1.0) * (y2 * y2)   # 0 * inf would be nan
+
 
 class PhaseShift(_Statement, keyword="phaseshift"):
     mode: str
@@ -270,6 +316,12 @@ class PhaseShift(_Statement, keyword="phaseshift"):
 
     def _block(self, at):
         return (at[self.mode],), *gaussian._phaseshift_block(self.theta)
+
+    def _back(self, cone, cos, sin):
+        """alpha = alpha - theta; w is not rotated, so shifts along one axis compose exactly."""
+        if self.mode in cone:
+            w1, w2, alpha = cone[self.mode]
+            cone[self.mode] = (w1, w2, alpha - frame_angle(self.theta))
 
 
 class Coupler(_Statement, keyword="coupler"):
@@ -284,6 +336,29 @@ class Coupler(_Statement, keyword="coupler"):
     def _block(self, at):
         return (at[self.mode_a], at[self.mode_b]), *gaussian._coupler_block(self.ratio)
 
+    def _back(self, cone, cos, sin):
+        """w_b = R(alpha_b - alpha_a) w_b, then (w_a, w_b) = (t w_a - s w_b, s w_a + t w_b) at alpha_a.
+
+        t = sqrt(ratio), s = sqrt(1 - ratio). A mode not yet in the cone enters with w = 0.
+        """
+        a, b = cone.get(self.mode_a), cone.get(self.mode_b)
+        if a is None and b is None:
+            return None
+        t, s = math.sqrt(self.ratio), math.sqrt(1.0 - self.ratio)
+        if a is None or b is None:   # the terms of the entering mode's w = 0 are dropped
+            w1, w2, alpha = a or b
+            ta, sa = (t, s) if b is None else (-s, t)
+            cone[self.mode_a] = (ta * w1, ta * w2, alpha)
+            cone[self.mode_b] = (sa * w1, sa * w2, alpha)
+            return None
+        a1, a2, alpha = a
+        b1, b2, beta = b
+        d = beta - alpha
+        c, r = cos(d), sin(d)
+        b1, b2 = c * b1 - r * b2, r * b1 + c * b2
+        cone[self.mode_a] = (t * a1 - s * b1, t * a2 - s * b2, alpha)
+        cone[self.mode_b] = (s * a1 + t * b1, s * a2 + t * b2, alpha)
+
 
 class Loss(_Statement, keyword="loss"):
     mode: str
@@ -292,6 +367,15 @@ class Loss(_Statement, keyword="loss"):
 
     def _block(self, at):
         return (at[self.mode],), *gaussian._loss_block(self.eta)
+
+    def _back(self, cone, cos, sin):
+        """Adds (1 - eta)|w|^2, then w = sqrt(eta) w."""
+        if self.mode not in cone:
+            return None
+        w1, w2, alpha = cone[self.mode]
+        t = math.sqrt(self.eta)
+        cone[self.mode] = (t * w1, t * w2, alpha)
+        return (1.0 - self.eta) * (w1 * w1 + w2 * w2)
 
 
 class Homodyne(_Statement, keyword="homodyne"):

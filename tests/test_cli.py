@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sqzsim.simulate
-from sqzsim import HomodyneTrace, data_path, parse
+from sqzsim import data_path, parse
 from sqzsim.cli import _COMMANDS, _flags, main
 
 CHIP = data_path("paper_chip.nl")
@@ -171,7 +172,8 @@ def test_simulate_overflowing_report_exits_2(tmp_path, capsys):
 
 
 def test_simulate_beyond_memory_is_one_error_line(tmp_path):
-    # 20 000 modes: the dense vacuum alone is 11.9 GiB, past the child's 2 GiB address space
+    # 20 000 modes: the dense vacuum alone is 11.9 GiB, past the child's 2 GiB address space;
+    # a seeded run still builds it (a noiseless one walks the measured mode's cone alone)
     resource = pytest.importorskip("resource")
     netlist = tmp_path / "wide.nl"
     netlist.write_text("modes: " + " ".join(f"m{i}" for i in range(20000)) + "\nsqueezer m0 r=0.5\n"
@@ -181,7 +183,7 @@ def test_simulate_beyond_memory_is_one_error_line(tmp_path):
     def limit_memory():   # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    done = subprocess.run([sys.executable, "-m", "sqzsim.cli", "simulate", str(netlist), "--noiseless",
+    done = subprocess.run([sys.executable, "-m", "sqzsim.cli", "simulate", str(netlist), "--seed", "1",
                            "--csv", str(csv), "--report", str(tmp_path / "r.json")],
                           capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
                           env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
@@ -191,34 +193,42 @@ def test_simulate_beyond_memory_is_one_error_line(tmp_path):
     assert not csv.exists()
 
 
-def test_simulate_rejects_non_finite_model_trace(chip_file, tmp_path, capsys, monkeypatch):
-    real_sweep = sqzsim.simulate.sweep
+# the two routes of `simulate`: the walk over Python floats, and run_spec's over arrays
+ROUTES = {"noiseless": ["--noiseless"], "seeded": ["--seed", "1"]}
 
-    def sweep_with_nan(*args):
-        trace = real_sweep(*args)
-        db = trace.variance_db.copy()
-        db[3] = np.nan
-        return HomodyneTrace(trace.phases, db)
 
-    monkeypatch.setattr(sqzsim.simulate, "sweep", sweep_with_nan)
+@pytest.mark.parametrize("route", ROUTES)
+def test_simulate_rejects_non_finite_model_trace(route, chip_file, tmp_path, capsys, monkeypatch):
+    real_walk = sqzsim.simulate._walk
+    third = sqzsim.phase_grid(*parse(chip_file.read_text()).measurement.sweep)[3]
+
+    def walk_with_nan(spec, theta, cos, sin):   # the walk's value at the fourth phase is NaN
+        variance = real_walk(spec, theta, cos, sin)
+        if isinstance(theta, float):
+            return math.nan if theta == third else variance
+        return np.where(theta == third, np.nan, variance)
+
+    monkeypatch.setattr(sqzsim.simulate, "_walk", walk_with_nan)
     csv = tmp_path / "t.csv"
-    assert main(["simulate", str(chip_file), "--noiseless",
+    assert main(["simulate", str(chip_file), *ROUTES[route],
                  "--csv", str(csv), "--report", str(tmp_path / "r.json")]) == 2
     assert "not finite" in capsys.readouterr().err
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("squeezer,message", [
-    ("r=400 phase=0.3", "state contains non-finite values"),   # e^800 overflows in apply
-    ("r=800", "channel contains non-finite values"),           # e^800 overflows in the block
+    # e^800 overflows on the measured quadrature in the walk
+    ("r=400 phase=0.3", "model trace is not finite: the measured variance is beyond a double"),
+    ("r=800", "channel contains non-finite values"),   # e^800 overflows in the squeezer's scales
 ])
-def test_simulate_overflowing_squeezer_is_one_error_line(squeezer, message, tmp_path, capsys):
+def test_simulate_overflowing_squeezer_is_one_error_line(squeezer, message, route, tmp_path, capsys):
     netlist = tmp_path / "huge.nl"
     netlist.write_text(f"modes: sig\nsqueezer sig {squeezer}\n"
                        "homodyne sig eta_pd=0.9 eta_e=0.9 ratio=0.5 sweep=0:3.14:8\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # a numpy overflow warning would fail here
-        assert main(["simulate", str(netlist), "--noiseless", "--csv", str(tmp_path / "t.csv"),
+        assert main(["simulate", str(netlist), *ROUTES[route], "--csv", str(tmp_path / "t.csv"),
                      "--report", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

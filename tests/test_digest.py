@@ -22,7 +22,7 @@ from conftest import benchmark_module, random_circuit_spec
 from sqzsim import data_path, parse, report_to_json, run_spec, write_trace_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "digest_golden.json"
-DIGEST_SHA256 = "3c7a853d37a0a00a62da2437a4aac59a39b096857832a85fa30092f569b574ef"
+DIGEST_SHA256 = "48f4f6ea146af39ba313f29c455559d0bc16482b8e083a0207c7ce82edf473fb"
 
 
 def _runs():

@@ -4,7 +4,8 @@ Nor do they import `dataclasses` or `inspect`, and only `analyze` imports
 `json`, for its report. No command imports `argparse`, `simulate` included.
 Of sqzsim's modules, only `validate` runs `netlist`, and it alone does not
 run `budget`; no scalar command runs `gaussian`, `homodyne`, `simulate` or
-`fock`.
+`fock`. `simulate --noiseless` imports no numpy either: it walks the chip
+over Python floats, and writes the bytes that `run_spec` gives.
 
 Each test runs a fresh interpreter with warnings as errors, because this
 suite itself imports numpy and sqzsim's modules.
@@ -86,13 +87,16 @@ def test_scalar_command_never_loads_numpy(argv, code):
     assert ("sqzsim.budget" in loaded) == (argv[0] != "validate")
 
 
-def test_simulate_process_loads_no_argparse(tmp_path):
-    done = _python("-c", CLI, "simulate", PAPER, "--noiseless",
+@pytest.mark.parametrize("route", [["--noiseless"], ["--seed", "1"]], ids=["noiseless", "seeded"])
+def test_simulate_process_loads_no_argparse(route, tmp_path):
+    # a noiseless run walks over Python floats; the seeded one draws its noise through numpy
+    done = _python("-c", CLI, "simulate", PAPER, *route,
                    "--csv", str(tmp_path / "trace.csv"), "--report", str(tmp_path / "report.json"))
     assert done.returncode == 0, done.stderr
     loaded = _loaded(done)
     assert "argparse" not in loaded
-    assert {"numpy", "sqzsim.simulate", "sqzsim.budget"} <= loaded
+    assert {"sqzsim.simulate", "sqzsim.budget"} <= loaded
+    assert ("numpy" in loaded) == (route[0] == "--seed")
 
 
 @pytest.mark.parametrize("kind,mutate", MALFORMED, ids=[kind for kind, _ in MALFORMED])
@@ -179,6 +183,27 @@ def test_simulate_process_writes_the_in_process_bytes(tmp_path):
                    "--csv", str(csv), "--report", str(report))
     assert done.returncode == 0, done.stderr
     trace, expected = run_spec(parse(Path(PAPER).read_bytes()), noiseless=False, seed=3)
+    assert csv.read_bytes() == write_trace_csv(trace, io.StringIO()).encode()
+    assert report.read_bytes() == report_to_json(expected).encode()
+
+
+# the paper chip, the benchmark's stress chip and a chip squeezed far past what a forward
+# covariance resolves in a double: a noiseless process writes run_spec's bytes without numpy
+_NOISELESS_CHIPS = {
+    "paper": Path(PAPER).read_text(encoding="utf-8"),
+    "stress401": benchmark_module("workloads").stress_chip(401).text,
+    "r20": "modes: sig\nsqueezer sig r=20 phase=1.1\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1.1:3.5:8\n",
+}
+
+
+@pytest.mark.parametrize("chip", _NOISELESS_CHIPS)
+def test_noiseless_simulate_process_writes_the_in_process_bytes(chip, tmp_path):
+    netlist, csv, report = tmp_path / "chip.nl", tmp_path / "trace.csv", tmp_path / "report.json"
+    netlist.write_text(_NOISELESS_CHIPS[chip], encoding="utf-8")
+    done = _python("-c", CLI, "simulate", str(netlist), "--noiseless", "--csv", str(csv), "--report", str(report))
+    assert done.returncode == 0, done.stderr
+    assert "numpy" not in _loaded(done)
+    trace, expected = run_spec(parse(netlist.read_bytes()))
     assert csv.read_bytes() == write_trace_csv(trace, io.StringIO()).encode()
     assert report.read_bytes() == report_to_json(expected).encode()
 

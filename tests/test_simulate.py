@@ -76,14 +76,22 @@ def test_eta_total_is_the_budget_product_in_any_loss_order(losses, ratio, visibi
 
 
 
-@pytest.mark.parametrize("r", [10.0, 12.0, 200.0])
+@pytest.mark.parametrize("r,raw_sq_db", [
+    # the oracle's values: a forward covariance cancels to <= 0 on the squeezed axis here
+    (10.0, -86.85889638065036), (12.0, -104.23067565678045), (200.0, -1737.1779276130073),
+    (400.0, None),   # e^-800 and e^800: past a double on the measured axis, so rejected
+])
 @pytest.mark.parametrize("noiseless", [True, False])
-def test_squeezing_beyond_double_precision_is_rejected_without_a_warning(r, noiseless):
-    # the forward model's variance on the squeezed axis cancels to <= 0 here; Tier-1 turns warnings into errors
+def test_squeezing_beyond_double_precision_is_rejected_without_a_warning(r, raw_sq_db, noiseless):
+    # Tier-1 turns warnings into errors
     spec = parse(f"modes: sig\nsqueezer sig r={r} phase=1.1\n"
                  "homodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1.1:3.5:8\n")
-    with pytest.raises(ValueError, match="raw_sq_db .* is not finite"):
-        run_spec(spec, noiseless=noiseless, seed=None if noiseless else 1)
+    if raw_sq_db is None:
+        with pytest.raises(ValueError, match="model trace is not finite"):
+            run_spec(spec, noiseless=noiseless, seed=None if noiseless else 1)
+    else:
+        report = run_spec(spec, noiseless=noiseless, seed=None if noiseless else 1)[1]
+        assert abs(report.raw_sq_db - raw_sq_db) <= 1e-9
 
 
 def _chip(n_modes, seed):
