@@ -13,7 +13,8 @@ Numeric stdout is printed at full precision with a `.` decimal point.
 Sibling modules are bound as modules and their functions read at call
 time, so a command runs only the sqzsim modules it calls. Of the commands,
 only `simulate --seed` loads numpy: `simulate --noiseless` walks the chip
-over Python floats (`simulate.run_noiseless`).
+over Python floats (`simulate.run_noiseless`), unless its sweep points x
+(statements + 1) is past `simulate.FLOAT_WALK_LIMIT`.
 """
 
 import io
@@ -88,7 +89,7 @@ def cmd_simulate(args):
     for flag, path in (("--csv", args.csv), ("--report", args.report)):
         if os.path.realpath(path) == netlist_path:
             raise ValueError(f"{flag} names the netlist {args.netlist!r}")
-    if args.noiseless:   # the walk over Python floats: this route loads no numpy
+    if args.noiseless:   # up to simulate.FLOAT_WALK_LIMIT, the walk over Python floats, without numpy
         phases, variance_db, report = simulate.run_noiseless(spec)
         csv = homodyne.trace_csv(phases, variance_db)
     else:

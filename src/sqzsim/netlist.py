@@ -226,13 +226,21 @@ FRAME_LIMIT = 64.0   # rad: a larger angle enters the backward walk reduced to o
 
 
 def frame_angle(angle):
-    """`angle` as the backward walk carries it in a frame angle alpha.
+    """`angle` (a number, or a numpy array of LO phases) as the backward walk carries it in a frame angle alpha.
 
     Up to FRAME_LIMIT in size, the angle itself: frame angles are only
     added and subtracted, so shifts along one axis compose to exactly 0. A
     larger one, next to which a small angle's last bits would round away,
-    is reduced to (-pi, pi] through `math`'s exact argument reduction.
+    is reduced to (-pi, pi] through `math`'s exact argument reduction. An
+    array none of whose angles is larger comes back as it is; otherwise
+    each angle is reduced as a number would be.
     """
+    if not isinstance(angle, (int, float)):
+        if -FRAME_LIMIT <= angle.min() and angle.max() <= FRAME_LIMIT:
+            return angle
+        reduced = angle.copy()
+        reduced[:] = [frame_angle(x) for x in angle.tolist()]
+        return reduced
     return angle if -FRAME_LIMIT <= angle <= FRAME_LIMIT else math.atan2(math.sin(angle), math.cos(angle))
 
 

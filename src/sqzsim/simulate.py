@@ -10,11 +10,14 @@ end. Every term is nonnegative, so nothing cancels, and a variance far
 below what a forward covariance matrix resolves in a double is still
 exact. Statements outside the cone are skipped.
 
-The walk runs on two routes. `run_spec` walks all phases at once over a
-numpy array; `run_noiseless` (the CLI's `simulate --noiseless`) walks one
-phase at a time over Python floats and loads no numpy. Both take their
-phases from `homodyne.phase_at` and convert to dB as a list through
-`to_db`, so both give the same bits.
+The walk runs over numpy arrays, all phases at once (`run_spec`), or over
+Python floats, one phase at a time. `run_noiseless` (the CLI's `simulate
+--noiseless`) takes the float walk, which loads no numpy, while sweep
+points x (statements + 1) is at most FLOAT_WALK_LIMIT; past that, importing
+numpy costs less than the float walk, and it takes the array walk. Both
+walks take their phases from `homodyne.phase_at` and convert to dB through
+`to_db` of a list, so they give the same bits as long as numpy's `cos` and
+`sin` give `math`'s, as they do where numpy calls the C library's.
 
 The report's raw values are the extrema of the noiseless model trace; when
 estimator noise is synthesized the reported uncertainty is the model
@@ -35,17 +38,21 @@ from .homodyne import (
     sweep,
     synthesize_trace,
 )
-from .netlist import FRAME_LIMIT, Loss, compile_spec, frame_angle
+from .netlist import Loss, compile_spec, frame_angle
+
+# sweep points x (statements + 1) up to which a noiseless run walks over Python floats: the
+# float walk costs ~0.5 us per unit, so near the limit it costs what importing numpy does
+FLOAT_WALK_LIMIT = 80_000
 
 
 def _walk(spec, theta, cos, sin):
     """Variance V(theta) of the measured quadrature before detection, by the backward walk.
 
     `theta` is one LO phase (a float, with `math.cos` and `math.sin`) or an
-    array of them (with numpy's), each as `frame_angle` gives it; the result
-    takes its shape. The measured mode starts with w = (1, 0) at alpha = theta.
+    array of them (with numpy's); the result takes its shape. The measured
+    mode starts with w = (1, 0) at alpha = `frame_angle(theta)`.
     """
-    cone = {spec.measurement.mode: (1.0, 0.0, theta)}   # mode -> (w1, w2, alpha)
+    cone = {spec.measurement.mode: (1.0, 0.0, frame_angle(theta))}   # mode -> (w1, w2, alpha)
     total = 0.0 * theta   # +-0, which leaves the first term it is added to as it is
     for st in reversed(spec.statements):
         term = st._back(cone, cos, sin)
@@ -56,27 +63,49 @@ def _walk(spec, theta, cos, sin):
     return total
 
 
-def _model(spec, variance, unc_db):
-    """(dB values, report) of the detected model variances, a list of floats on both routes."""
-    db = to_db(variance)
-    # a finite dB value is within ~3300 dB of 0, so the sum is finite exactly when each value is
-    if not math.isfinite(sum(db)):
-        raise ValueError("model trace is not finite: the measured variance is beyond a double")
-    return db, build_report(min(db), max(db), unc_db, factors=budget_factors(spec))
-
-
-def run_noiseless(spec):
-    """(phases, dB values, report) of a noiseless run, as Python floats, without numpy.
-
-    The values and the report are those of `run_spec(spec)`, bit for bit.
-    """
+def _float_trace(spec):
+    """(phases, dB values) of the detected model trace as lists, walked one phase at a time."""
     m = spec.measurement
     a, b, n = m.sweep
     eta = effective_efficiency(m)
     phases = [phase_at(a, b, n, k) for k in range(n)]
-    variance = [detected(_walk(spec, frame_angle(theta), math.cos, math.sin), eta) for theta in phases]
-    db, report = _model(spec, variance, 0.0)
-    return phases, db, report
+    return phases, to_db([detected(_walk(spec, theta, math.cos, math.sin), eta) for theta in phases])
+
+
+def _array_trace(spec):
+    """(phases, dB values) of the detected model trace as numpy arrays, walked over all phases at once."""
+    import numpy as np
+
+    m = spec.measurement
+    phases = phase_grid(*m.sweep)
+    with np.errstate(over="ignore", invalid="ignore"):   # a walk that overflows is rejected by `_report`
+        variance = detected(_walk(spec, phases, np.cos, np.sin), effective_efficiency(m))
+    return phases, np.array(to_db(variance.tolist()))
+
+
+def _report(spec, db, unc_db):
+    """The report of a model trace's dB values, a list or an array; ValueError when one is not finite."""
+    if isinstance(db, list):
+        # a finite dB value is within ~3300 dB of 0, so the sum is finite exactly when each value is
+        lo, hi, finite = min(db), max(db), math.isfinite(sum(db))
+    else:   # numpy's extrema are NaN when a value is
+        lo, hi = float(db.min()), float(db.max())
+        finite = math.isfinite(lo) and math.isfinite(hi)
+    if not finite:
+        raise ValueError("model trace is not finite: the measured variance is beyond a double")
+    return build_report(lo, hi, unc_db, factors=budget_factors(spec))
+
+
+def run_noiseless(spec):
+    """(phases, dB values, report) of a noiseless run, the phases and values as lists of floats.
+
+    They are those of `run_spec(spec)`, bit for bit. Up to FLOAT_WALK_LIMIT
+    the walk is over Python floats and no numpy is loaded.
+    """
+    floats = spec.measurement.sweep[2] * (len(spec.statements) + 1) <= FLOAT_WALK_LIMIT
+    phases, db = _float_trace(spec) if floats else _array_trace(spec)
+    report = _report(spec, db, 0.0)
+    return (phases, db, report) if floats else (phases.tolist(), db.tolist(), report)
 
 
 def _propagate(spec):
@@ -142,18 +171,13 @@ def run_spec(spec, noiseless=True, seed=None):
     import numpy as np
 
     m = spec.measurement
-    eta = effective_efficiency(m)
     m_samples = m.rbw / m.vbw
     unc_db = 0.0 if noiseless else math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
-    a, b, _ = m.sweep
-    phases = phase_grid(*m.sweep)
-    frames = phases if max(abs(a), abs(b)) <= FRAME_LIMIT else np.array(list(map(frame_angle, phases.tolist())))
-    # a walk that overflows is rejected by `_model`, and the forward sweep is not read
-    with np.errstate(over="ignore", invalid="ignore"):
-        variance = detected(_walk(spec, frames, np.cos, np.sin), eta)
-        db, report = _model(spec, variance.tolist(), unc_db)
-        state, plan = _propagate(spec)
-        sweep(state, plan.mode, eta, plan.phases)   # timed by the benchmark
+    phases, db = _array_trace(spec)
+    report = _report(spec, db, unc_db)
+    state, plan = _propagate(spec)
+    with np.errstate(over="ignore", invalid="ignore"):   # its output is not read
+        sweep(state, plan.mode, effective_efficiency(m), plan.phases)   # timed by the benchmark
     model = HomodyneTrace(phases, db)
     trace = model if noiseless else synthesize_trace(model, m_samples, seed)
     return trace, report

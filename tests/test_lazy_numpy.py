@@ -4,8 +4,9 @@ Nor do they import `dataclasses` or `inspect`, and only `analyze` imports
 `json`, for its report. No command imports `argparse`, `simulate` included.
 Of sqzsim's modules, only `validate` runs `netlist`, and it alone does not
 run `budget`; no scalar command runs `gaussian`, `homodyne`, `simulate` or
-`fock`. `simulate --noiseless` imports no numpy either: it walks the chip
-over Python floats, and writes the bytes that `run_spec` gives.
+`fock`. `simulate --noiseless` imports no numpy either up to
+`simulate.FLOAT_WALK_LIMIT`: it walks the chip over Python floats, and
+writes the bytes that `run_spec` gives; past the limit it walks arrays.
 
 Each test runs a fresh interpreter with warnings as errors, because this
 suite itself imports numpy and sqzsim's modules.
@@ -204,6 +205,22 @@ def test_noiseless_simulate_process_writes_the_in_process_bytes(chip, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "numpy" not in _loaded(done)
     trace, expected = run_spec(parse(netlist.read_bytes()))
+    assert csv.read_bytes() == write_trace_csv(trace, io.StringIO()).encode()
+    assert report.read_bytes() == report_to_json(expected).encode()
+
+
+@pytest.mark.parametrize("extra_points,walks_arrays", [(0, False), (1, True)])
+def test_noiseless_process_walks_arrays_past_the_float_walk_limit(extra_points, walks_arrays, tmp_path):
+    # the paper chip's 3 statements: sweep points x 4 units; one point past the limit, importing
+    # numpy costs less than walking over floats
+    points = sqzsim.simulate.FLOAT_WALK_LIMIT // 4 + extra_points
+    netlist, csv, report = tmp_path / "chip.nl", tmp_path / "trace.csv", tmp_path / "report.json"
+    netlist.write_text(Path(PAPER).read_text(encoding="utf-8").replace(":720", f":{points}"), encoding="utf-8")
+    done = _python("-c", CLI, "simulate", str(netlist), "--noiseless", "--csv", str(csv), "--report", str(report))
+    assert done.returncode == 0, done.stderr
+    assert ("numpy" in _loaded(done)) == walks_arrays
+    trace, expected = run_spec(parse(netlist.read_bytes()))
+    assert trace.phases.size == points
     assert csv.read_bytes() == write_trace_csv(trace, io.StringIO()).encode()
     assert report.read_bytes() == report_to_json(expected).encode()
 

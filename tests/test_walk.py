@@ -1,6 +1,7 @@
 """The backward walk that computes the model trace: against the 60-digit oracle, on both routes.
 
-`simulate --noiseless` walks one phase at a time over Python floats, and
+`simulate --noiseless` walks one phase at a time over Python floats (up
+to `simulate.FLOAT_WALK_LIMIT`), and
 `--seed` runs `run_spec`, which walks all phases at once over an array.
 Both must print the oracle's numbers far past the squeezing that a forward
 covariance matrix resolves in a double, and reject a chip past a double
@@ -16,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ import oracle
 import sqzsim
 from sqzsim import CircuitSpec, Coupler, Homodyne, Loss, PhaseShift, Squeezer, parse, phase_grid, run_spec
 from sqzsim.cli import main
+from sqzsim.netlist import FRAME_LIMIT
 from sqzsim.simulate import run_noiseless
 
 TOL_DB = 1e-9
@@ -89,6 +92,22 @@ def test_walk_is_the_oracles_far_past_a_forward_double(spec):
     assert abs(report.raw_asq_db - float(want.raw_asq_db)) <= TOL_DB
     # the float route gives the array route's values bit for bit
     assert run_noiseless(spec) == (trace.phases.tolist(), trace.variance_db.tolist(), report)
+
+
+def test_numpy_trig_gives_maths_bits_on_the_walks_angles():
+    # the float walk and the array walk give the same bits only while numpy's float64 cos and sin
+    # give math's, as they do where numpy calls the C library's: a numpy build with trig of its
+    # own fails here, naming the cause, as well as in the byte-equality tests
+    paper = parse(sqzsim.data_path("paper_chip.nl").read_text(encoding="utf-8"))
+    angles = np.concatenate([phase_grid(*paper.measurement.sweep),
+                             np.random.default_rng(26).uniform(-4 * FRAME_LIMIT, 4 * FRAME_LIMIT, 100_000)])
+    values = angles.tolist()
+    for np_trig, math_trig in ((np.cos, math.cos), (np.sin, math.sin)):
+        want = [math_trig(x) for x in values]
+        wrong = [x for x, got, bits in zip(values, np_trig(angles).tolist(), want) if got != bits]
+        wrong += [x for x, bits in zip(values[:2000], want) if float(np_trig(x)) != bits]   # one at a time
+        name = math_trig.__name__
+        assert not wrong, f"np.{name} is not math.{name} at {len(wrong)} angles: {wrong[:3]}"
 
 
 @pytest.mark.parametrize("route", ROUTES)
