@@ -12,9 +12,9 @@ flag keeps its last value, and positionals may stand among the flags.
 Numeric stdout is printed at full precision with a `.` decimal point.
 Sibling modules are bound as modules and their functions read at call
 time, so a command runs only the sqzsim modules it calls. Of the commands,
-only `simulate --seed` loads numpy: `simulate --noiseless` walks the chip
-over Python floats (`simulate.run_noiseless`), unless its sweep points x
-(statements + 1) is past `simulate.FLOAT_WALK_LIMIT`.
+only `simulate --seed` loads numpy: `simulate --noiseless` walks the
+measured mode's cone over Python floats (`simulate.run_noiseless`), unless
+its sweep points x (cone statements + 1) is past `simulate.FLOAT_WALK_LIMIT`.
 """
 
 import io

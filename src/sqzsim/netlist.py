@@ -53,7 +53,9 @@ are found only when an error reports them.
 `_back` is a statement's step of the backward (Heisenberg-picture) walk
 that computes the measured quadrature's variance (see `simulate`). Each mode
 in the measured mode's backward light cone carries a pair (w, alpha): the
-quadrature's coefficient vector on that mode is R(alpha) w. A step uses
+quadrature's coefficient vector on that mode is R(alpha) w. The walk takes
+the steps of the cone's statements alone (`simulate._cone`), so a step
+never meets a statement whose modes the cone does not hold. A step uses
 `cos` and `sin` as given, numpy's or `math`'s, and otherwise only +, - and
 *, so the same step runs on an array of all LO phases or on one float.
 This module imports no numpy.
@@ -251,10 +253,11 @@ class _Statement(Record):
     """Base of the statement kinds, one class each: `class Loss(_Statement, keyword="loss")`.
 
     Fields with a `_KEYS` rule are the kind's `_params`, name -> (default, fault); the others name modes.
-    `_block(at)` is its raw channel block for `gaussian._layered`, `at` giving a mode's index.
-    `_back(cone, cos, sin)` is its backward step: it updates the (w1, w2, alpha) of its modes in
-    `cone` and returns the variance it adds to the measured quadrature, or None when it adds
-    none or acts on no mode of the cone.
+    `_block(at)` is its raw `(modes, X, Y)` block for `compile_spec`, `at` giving a mode's index.
+    `_back(cone, cos, sin)` is its backward step, taken only for a statement in the measured
+    mode's backward light cone (`simulate._cone`), so `cone` holds its mode (a coupler's, one
+    of its two at least): it updates the (w1, w2, alpha) of its modes there and returns the
+    variance it adds to the measured quadrature, or None when it adds none.
     Construction checks mode fields are str and the others obey their rule, then runs `_check`.
     """
 
@@ -306,8 +309,6 @@ class Squeezer(_Statement, keyword="squeezer"):
         The angle is one subtraction, so a phase on the squeezer's axis gives y2 = 0 exactly.
         Raises the error of `gaussian._squeezer_block` for the same r and excess.
         """
-        if self.mode not in cone:
-            return None
         w1, w2, alpha = cone[self.mode]
         shrink, grow, _ = squeezer_scales(self.effective_r(), self.excess)
         phase = frame_angle(self.phase)
@@ -327,9 +328,8 @@ class PhaseShift(_Statement, keyword="phaseshift"):
 
     def _back(self, cone, cos, sin):
         """alpha = alpha - theta; w is not rotated, so shifts along one axis compose exactly."""
-        if self.mode in cone:
-            w1, w2, alpha = cone[self.mode]
-            cone[self.mode] = (w1, w2, alpha - frame_angle(self.theta))
+        w1, w2, alpha = cone[self.mode]
+        cone[self.mode] = (w1, w2, alpha - frame_angle(self.theta))
 
 
 class Coupler(_Statement, keyword="coupler"):
@@ -350,8 +350,6 @@ class Coupler(_Statement, keyword="coupler"):
         t = sqrt(ratio), s = sqrt(1 - ratio). A mode not yet in the cone enters with w = 0.
         """
         a, b = cone.get(self.mode_a), cone.get(self.mode_b)
-        if a is None and b is None:
-            return None
         t, s = math.sqrt(self.ratio), math.sqrt(1.0 - self.ratio)
         if a is None or b is None:   # the terms of the entering mode's w = 0 are dropped
             w1, w2, alpha = a or b
@@ -378,8 +376,6 @@ class Loss(_Statement, keyword="loss"):
 
     def _back(self, cone, cos, sin):
         """Adds (1 - eta)|w|^2, then w = sqrt(eta) w."""
-        if self.mode not in cone:
-            return None
         w1, w2, alpha = cone[self.mode]
         t = math.sqrt(self.eta)
         cone[self.mode] = (t * w1, t * w2, alpha)
@@ -563,13 +559,13 @@ def pretty_print(spec):
 def compile_spec(spec):
     """Compile a CircuitSpec to an ordered GaussianChannel list and a MeasurementPlan.
 
-    Each channel is one layer of `gaussian._layered`: the block-diagonal
-    sum of the blocks of statements on distinct modes, which commute.
-    Applied in order, the channels give the state of the statements
-    applied one by one, in fewer applies.
+    One element channel per statement, in statement order, on exactly that
+    statement's modes: the same channel, bit for bit, that its public
+    `*_channel` builder gives.
     """
     n = len(spec.modes)
     index = {name: i for i, name in enumerate(spec.modes)}
-    channels = gaussian._layered(n, [st._block(index) for st in spec.statements])
+    channels = [gaussian._element(X, Y, n, modes)
+                for modes, X, Y in (st._block(index) for st in spec.statements)]
     m = spec.measurement
     return channels, MeasurementPlan(mode=index[m.mode], phases=homodyne.phase_grid(*m.sweep))

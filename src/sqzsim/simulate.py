@@ -8,12 +8,14 @@ the measured quadrature walks back through the statements, each step
 the modes still in its backward light cone add their vacuum inputs at the
 end. Every term is nonnegative, so nothing cancels, and a variance far
 below what a forward covariance matrix resolves in a double is still
-exact. Statements outside the cone are skipped.
+exact. The statements outside that cone cannot reach the measured mode,
+so `_cone` cuts them away first, and a run's work and memory follow the
+cone, not the declared modes.
 
 The walk runs over numpy arrays, all phases at once (`run_spec`), or over
 Python floats, one phase at a time. `run_noiseless` (the CLI's `simulate
 --noiseless`) takes the float walk, which loads no numpy, while sweep
-points x (statements + 1) is at most FLOAT_WALK_LIMIT; past that, importing
+points x (cone statements + 1) is at most FLOAT_WALK_LIMIT; past that, importing
 numpy costs less than the float walk, and it takes the array walk. Both
 walks take their phases from `homodyne.phase_at` and convert to dB through
 `to_db` of a list, so they give the same bits as long as numpy's `cos` and
@@ -38,16 +40,38 @@ from .homodyne import (
     sweep,
     synthesize_trace,
 )
-from .netlist import Loss, compile_spec, frame_angle
+from .netlist import CircuitSpec, Loss, compile_spec, frame_angle
 
-# sweep points x (statements + 1) up to which a noiseless run walks over Python floats: the
+# sweep points x (cone statements + 1) up to which a noiseless run walks over Python floats: the
 # float walk costs ~0.5 us per unit, so near the limit it costs what importing numpy does
 FLOAT_WALK_LIMIT = 80_000
+
+
+def _cone(spec):
+    """`spec` cut to the measured mode's backward light cone, one reverse scan.
+
+    A statement on a mode of the cone is in it, and its modes join the cone
+    (a coupler's other mode enters). The cut keeps those statements in
+    order and their modes in declared order. The measured quadrature's
+    variance, and the measured mode's state, are those of the whole spec;
+    every statement on the measured mode is kept, so `budget_factors` reads
+    the same table.
+    """
+    modes, kept = {spec.measurement.mode}, []
+    for st in reversed(spec.statements):
+        names = [getattr(st, name) for name in st._mode_fields]
+        if not modes.isdisjoint(names):
+            modes.update(names)
+            kept.append(st)
+    kept.reverse()
+    return CircuitSpec._trusted(modes=tuple([name for name in spec.modes if name in modes]),
+                                statements=tuple(kept), measurement=spec.measurement)
 
 
 def _walk(spec, theta, cos, sin):
     """Variance V(theta) of the measured quadrature before detection, by the backward walk.
 
+    `spec` is a `_cone`, so every step acts on a mode the walk carries.
     `theta` is one LO phase (a float, with `math.cos` and `math.sin`) or an
     array of them (with numpy's); the result takes its shape. The measured
     mode starts with w = (1, 0) at alpha = `frame_angle(theta)`.
@@ -100,11 +124,12 @@ def run_noiseless(spec):
     """(phases, dB values, report) of a noiseless run, the phases and values as lists of floats.
 
     They are those of `run_spec(spec)`, bit for bit. Up to FLOAT_WALK_LIMIT
-    the walk is over Python floats and no numpy is loaded.
+    the walk of the cone is over Python floats and no numpy is loaded.
     """
-    floats = spec.measurement.sweep[2] * (len(spec.statements) + 1) <= FLOAT_WALK_LIMIT
-    phases, db = _float_trace(spec) if floats else _array_trace(spec)
-    report = _report(spec, db, 0.0)
+    cone = _cone(spec)
+    floats = spec.measurement.sweep[2] * (len(cone.statements) + 1) <= FLOAT_WALK_LIMIT
+    phases, db = _float_trace(cone) if floats else _array_trace(cone)
+    report = _report(cone, db, 0.0)
     return (phases, db, report) if floats else (phases.tolist(), db.tolist(), report)
 
 
@@ -155,27 +180,30 @@ def run_spec(spec, noiseless=True, seed=None):
     The returned trace is noisy when `noiseless` is false, in which case a
     seed is required for reproducibility. Detection reads the measurement's
     efficiency eta and, for a noisy trace, its M = rbw/vbw. A `CircuitSpec`
-    is valid by construction, so nothing here re-checks it. The model trace
-    and the report come from the backward walk, which runs first; a model
-    trace that is not finite (a variance beyond a double) is rejected, not
-    warned about by numpy.
+    is valid by construction, so nothing here re-checks it. Everything runs
+    on the measured mode's backward light cone (`_cone`), so its work and
+    memory follow the cone, not the declared modes. The model trace and the
+    report come from the backward walk, which runs first; a model trace
+    that is not finite (a variance beyond a double) is rejected, not warned
+    about by numpy.
 
     After the walk, `compile_spec`, `GaussianChannel.apply` and `sweep`
-    still run on the forward state, and their output is not used: the
-    benchmark's per-layer metrics (and `tests/test_bench_spans.py`) read
+    still run on the cone's forward state, and their output is not used:
+    the benchmark's per-layer metrics (and `tests/test_bench_spans.py`) read
     their timings from those calls, until a benchmark change takes them off
-    this path. Until then a chip whose dense state overflows outside the
-    measured mode's cone, or does not fit in memory, is rejected here, while
-    `run_noiseless` runs it.
+    this path. So a cone whose dense state does not fit in memory, or
+    overflows off the measured quadrature, is rejected here, while
+    `run_noiseless` walks it.
     """
     import numpy as np
 
     m = spec.measurement
     m_samples = m.rbw / m.vbw
     unc_db = 0.0 if noiseless else math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
-    phases, db = _array_trace(spec)
-    report = _report(spec, db, unc_db)
-    state, plan = _propagate(spec)
+    cone = _cone(spec)
+    phases, db = _array_trace(cone)
+    report = _report(cone, db, unc_db)
+    state, plan = _propagate(cone)
     with np.errstate(over="ignore", invalid="ignore"):   # its output is not read
         sweep(state, plan.mode, effective_efficiency(m), plan.phases)   # timed by the benchmark
     model = HomodyneTrace(phases, db)

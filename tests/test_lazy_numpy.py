@@ -4,9 +4,10 @@ Nor do they import `dataclasses` or `inspect`, and only `analyze` imports
 `json`, for its report. No command imports `argparse`, `simulate` included.
 Of sqzsim's modules, only `validate` runs `netlist`, and it alone does not
 run `budget`; no scalar command runs `gaussian`, `homodyne`, `simulate` or
-`fock`. `simulate --noiseless` imports no numpy either up to
-`simulate.FLOAT_WALK_LIMIT`: it walks the chip over Python floats, and
-writes the bytes that `run_spec` gives; past the limit it walks arrays.
+`fock`. `simulate --noiseless` imports no numpy either while sweep points
+x (cone statements + 1) is at most `simulate.FLOAT_WALK_LIMIT`: it walks
+the measured mode's cone over Python floats, and writes the bytes that
+`run_spec` gives; past the limit it walks arrays.
 
 Each test runs a fresh interpreter with warnings as errors, because this
 suite itself imports numpy and sqzsim's modules.
@@ -211,8 +212,8 @@ def test_noiseless_simulate_process_writes_the_in_process_bytes(chip, tmp_path):
 
 @pytest.mark.parametrize("extra_points,walks_arrays", [(0, False), (1, True)])
 def test_noiseless_process_walks_arrays_past_the_float_walk_limit(extra_points, walks_arrays, tmp_path):
-    # the paper chip's 3 statements: sweep points x 4 units; one point past the limit, importing
-    # numpy costs less than walking over floats
+    # the paper chip's cone is all 3 of its statements: sweep points x 4 units; one point past
+    # the limit, importing numpy costs less than walking over floats
     points = sqzsim.simulate.FLOAT_WALK_LIMIT // 4 + extra_points
     netlist, csv, report = tmp_path / "chip.nl", tmp_path / "trace.csv", tmp_path / "report.json"
     netlist.write_text(Path(PAPER).read_text(encoding="utf-8").replace(":720", f":{points}"), encoding="utf-8")
