@@ -9,22 +9,28 @@ every circuit starts from vacuum and no element displaces it, so the mean
 is always zero, and every number sqzsim reports is a variance. States and
 channels are immutable values; every operation returns a new state.
 
-An element channel stores only its 2x2 or 4x4 (X, Y) block and the
-ordered modes it acts on, so applying it rewrites just those modes' rows
-and columns: O(N) work per element on an N-mode state instead of a dense
-2N x 2N product. Each element's block has one formula, a `_*_block`
-function of Python floats that returns its rows as lists, which the
-public builders and `netlist.compile_spec` share: a compiled chip is one
-element channel per statement.
+An element channel stores only its (X, Y) block and the ordered k modes it
+acts on, so applying it rewrites just those modes' rows and columns:
+O(k^2 N) work on an N-mode state instead of a dense 2N x 2N product. The
+public builders give one element (squeezer, phase shift, coupler, loss)
+its 2x2 or 4x4 block; each element's block has one formula, a `_*_block`
+function of Python floats that returns its rows as lists. A compiled chip
+is a sequence of layers: channels on disjoint modes commute, and their
+product is their tensor product, so `_layered` groups a chip's raw blocks
+into layers and joins each layer's blocks into one block-diagonal channel,
+and a chip costs one apply per layer. `LAYER_MODES` caps k, so a layer's
+block stays small however wide the chip.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
 from ._record import Record, read_only
 from .conversions import _as_scalar_or_array, check_unit, squeezer_scales
 
+LAYER_MODES = 8          # most modes one layer of `_layered` acts on, so its block stays small on a wide chip
 SYMMETRY_RTOL = 1e-12    # relative symmetry tolerance for covariance input
 UNCERTAINTY_TOL = -1e-9  # lower bound for eigenvalues of cov + i*Omega
 CP_TOL = -1e-9           # lower bound for the channel complete-positivity check
@@ -141,6 +147,85 @@ def _element(X, Y, n_modes, modes):
         rows = np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp)
     X, Y = read_only(np.asarray(X, dtype=float)), read_only(np.asarray(Y, dtype=float))
     return GaussianChannel._trusted(X=X, Y=Y, modes=modes, n_modes=n_modes, _rows=rows)
+
+
+def _layers(block_modes):
+    """Block positions grouped into layers, from each block's mode indices.
+
+    A block joins the first layer after the last one that touches any of
+    its modes and that has room for them within LAYER_MODES, opening a new
+    layer when none has. So a layer's blocks act on distinct modes, and
+    blocks that share a mode sit in increasing layers, in order. A layer's
+    width only grows, so once it has no room for a block width it never
+    will: `full` remembers, per width, the first layer that might still
+    have room, and the layers before it are not scanned again.
+    """
+    layers, widths, after, full = [], [], {}, {}   # after: mode -> first layer free of it
+    for i, modes in enumerate(block_modes):
+        width = len(modes)
+        first = k = full.get(width, 0)
+        for m in modes:   # a loop, not max(): this runs for every statement of a chip
+            free = after.get(m, 0)
+            if free > k:
+                k = free
+        scan = k == first   # then the layers from `first` to the one found are full for `width`
+        while k < len(layers) and widths[k] + width > LAYER_MODES:
+            k += 1
+        if scan:
+            full[width] = k
+        if k == len(layers):
+            layers.append([])
+            widths.append(0)
+        layers[k].append(i)
+        widths[k] += width
+        k += 1
+        for m in modes:
+            after[m] = k
+    return layers
+
+
+def _layered(n_modes, blocks):
+    """Element channels of raw `(modes, X, Y)` blocks in order, one per layer of `_layers`.
+
+    A layer's channel acts on its blocks' modes in order, with the blocks'
+    block-diagonal sum as its X and Y. Its blocks act on distinct modes and
+    so commute, and applied in order the channels give the state of the
+    blocks applied one by one, in fewer applies. Every layer's X and Y
+    live in one zeroed buffer that one scatter fills, and each channel
+    holds read-only views of its part.
+    """
+    parts, end = [], 0   # each layer's (modes, start in the buffer, size)
+    # rows -> the corners, layer sizes and values (X then Y, row by row) of the blocks of that many rows
+    groups = defaultdict(lambda: ([], [], []))
+    for layer in _layers([block[0] for block in blocks]):
+        # from a list: tuple() of a generator resizes its guess, which strands each
+        # freed tuple on a free list of a size it never takes from again
+        modes = tuple([m for i in layer for m in blocks[i][0]])
+        size = 2 * len(modes)
+        corner = end   # where the next block's X[0][0] goes
+        for i in layer:
+            _, X, Y = blocks[i]
+            corners, sizes, values = groups[len(X)]
+            corners.append(corner)
+            sizes.append(size)
+            for row in X:
+                values += row
+            for row in Y:
+                values += row
+            corner += len(X) * (size + 1)
+        parts.append((modes, end, size))
+        end += 2 * size * size
+    cells, values = [np.zeros(0, np.intp)], []   # the empty piece lets a chip with no blocks concatenate
+    for rows, (corners, sizes, group_values) in groups.items():
+        y, i, j = np.indices((2, rows, rows)).reshape(3, -1)   # Y flag, row and column of each value
+        sizes = np.array(sizes)[:, None]
+        cells.append(np.array(corners)[:, None] + sizes * (i + sizes * y) + j)
+        values += group_values
+    buffer = np.zeros(end)
+    buffer[np.concatenate(cells, axis=None)] = np.fromiter(values, float, len(values))
+    read_only(buffer)   # and so every view of it
+    return [_element(*buffer[start:start + 2 * size * size].reshape(2, size, size), n_modes, modes)
+            for modes, start, size in parts]
 
 
 def vacuum(n_modes):

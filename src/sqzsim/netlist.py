@@ -253,7 +253,7 @@ class _Statement(Record):
     """Base of the statement kinds, one class each: `class Loss(_Statement, keyword="loss")`.
 
     Fields with a `_KEYS` rule are the kind's `_params`, name -> (default, fault); the others name modes.
-    `_block(at)` is its raw `(modes, X, Y)` block for `compile_spec`, `at` giving a mode's index.
+    `_block(at)` is its raw channel block for `gaussian._layered`, `at` giving a mode's index.
     `_back(cone, cos, sin)` is its backward step, taken only for a statement in the measured
     mode's backward light cone (`simulate._cone`), so `cone` holds its mode (a coupler's, one
     of its two at least): it updates the (w1, w2, alpha) of its modes there and returns the
@@ -559,13 +559,13 @@ def pretty_print(spec):
 def compile_spec(spec):
     """Compile a CircuitSpec to an ordered GaussianChannel list and a MeasurementPlan.
 
-    One element channel per statement, in statement order, on exactly that
-    statement's modes: the same channel, bit for bit, that its public
-    `*_channel` builder gives.
+    Each channel is one layer of `gaussian._layered`: the block-diagonal
+    sum of the blocks of statements on distinct modes, which commute.
+    Applied in order, the channels give the state of the statements
+    applied one by one, in fewer applies.
     """
     n = len(spec.modes)
     index = {name: i for i, name in enumerate(spec.modes)}
-    channels = [gaussian._element(X, Y, n, modes)
-                for modes, X, Y in (st._block(index) for st in spec.statements)]
+    channels = gaussian._layered(n, [st._block(index) for st in spec.statements])
     m = spec.measurement
     return channels, MeasurementPlan(mode=index[m.mode], phases=homodyne.phase_grid(*m.sweep))

@@ -9,8 +9,8 @@ the modes still in its backward light cone add their vacuum inputs at the
 end. Every term is nonnegative, so nothing cancels, and a variance far
 below what a forward covariance matrix resolves in a double is still
 exact. The statements outside that cone cannot reach the measured mode,
-so `_cone` cuts them away first, and a run's work and memory follow the
-cone, not the declared modes.
+so `_cone` cuts them away first, and the walk's work and memory follow
+the cone, not the declared modes.
 
 The walk runs over numpy arrays, all phases at once (`run_spec`), or over
 Python floats, one phase at a time. `run_noiseless` (the CLI's `simulate
@@ -59,10 +59,11 @@ def _cone(spec):
     """
     modes, kept = {spec.measurement.mode}, []
     for st in reversed(spec.statements):
-        names = [getattr(st, name) for name in st._mode_fields]
-        if not modes.isdisjoint(names):
-            modes.update(names)
-            kept.append(st)
+        for name in st._mode_fields:   # most statements miss the cone, so no list is built for them
+            if getattr(st, name) in modes:
+                modes.update([getattr(st, field) for field in st._mode_fields])
+                kept.append(st)
+                break
     kept.reverse()
     return CircuitSpec._trusted(modes=tuple([name for name in spec.modes if name in modes]),
                                 statements=tuple(kept), measurement=spec.measurement)
@@ -180,19 +181,17 @@ def run_spec(spec, noiseless=True, seed=None):
     The returned trace is noisy when `noiseless` is false, in which case a
     seed is required for reproducibility. Detection reads the measurement's
     efficiency eta and, for a noisy trace, its M = rbw/vbw. A `CircuitSpec`
-    is valid by construction, so nothing here re-checks it. Everything runs
-    on the measured mode's backward light cone (`_cone`), so its work and
-    memory follow the cone, not the declared modes. The model trace and the
-    report come from the backward walk, which runs first; a model trace
-    that is not finite (a variance beyond a double) is rejected, not warned
-    about by numpy.
+    is valid by construction, so nothing here re-checks it. The model trace
+    and the report come from the backward walk of the measured mode's light
+    cone (`_cone`), which runs first; a model trace that is not finite (a
+    variance beyond a double) is rejected, not warned about by numpy.
 
     After the walk, `compile_spec`, `GaussianChannel.apply` and `sweep`
-    still run on the cone's forward state, and their output is not used:
-    the benchmark's per-layer metrics (and `tests/test_bench_spans.py`) read
-    their timings from those calls, until a benchmark change takes them off
-    this path. So a cone whose dense state does not fit in memory, or
-    overflows off the measured quadrature, is rejected here, while
+    still run on the whole chip's forward state, and their output is not
+    used: the benchmark's per-layer metrics (and `tests/test_bench_spans.py`)
+    read their timings from those calls, until a benchmark change takes them
+    off this path. Until then a chip whose dense state overflows outside the
+    measured mode's cone, or does not fit in memory, is rejected here, while
     `run_noiseless` walks it.
     """
     import numpy as np
@@ -203,7 +202,7 @@ def run_spec(spec, noiseless=True, seed=None):
     cone = _cone(spec)
     phases, db = _array_trace(cone)
     report = _report(cone, db, unc_db)
-    state, plan = _propagate(cone)
+    state, plan = _propagate(spec)
     with np.errstate(over="ignore", invalid="ignore"):   # its output is not read
         sweep(state, plan.mode, effective_efficiency(m), plan.phases)   # timed by the benchmark
     model = HomodyneTrace(phases, db)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit_spec, random_gaussian_state
@@ -27,6 +27,8 @@ from sqzsim import (
     vacuum,
 )
 from sqzsim.gaussian import (
+    LAYER_MODES,
+    _layers,
     coupler_channel,
     coupler_symplectic,
     embed_pair,
@@ -374,6 +376,39 @@ def test_compiled_one_statement_chip_is_its_channel_bit_for_bit(statement, build
     np.testing.assert_array_equal(channel.X, want.X)
     np.testing.assert_array_equal(channel.Y, want.Y)
     assert (channel.X.tobytes(), channel.Y.tobytes()) == (want.X.tobytes(), want.Y.tobytes())
+
+
+def _plain_layers(block_modes):
+    """The layering rule as a plain scan from each block's first free layer: the reference for `_layers`."""
+    layers, widths, after = [], [], {}   # after: mode -> first layer free of it
+    for i, modes in enumerate(block_modes):
+        k = max(after.get(m, 0) for m in modes)
+        while k < len(layers) and widths[k] + len(modes) > LAYER_MODES:
+            k += 1
+        if k == len(layers):
+            layers.append([])
+            widths.append(0)
+        layers[k].append(i)
+        widths[k] += len(modes)
+        for m in modes:
+            after[m] = k + 1
+    return layers
+
+
+_MODE = st.integers(0, 39)
+_BLOCK = st.one_of(st.tuples(_MODE), st.lists(_MODE, min_size=2, max_size=2, unique=True).map(tuple))
+# seven one-mode blocks on distinct modes leave a layer at 7 of LAYER_MODES, which a
+# two-mode block then skips and a later one-mode block can still fill
+_SEVEN = st.lists(_MODE, min_size=LAYER_MODES - 1, max_size=LAYER_MODES - 1, unique=True).map(
+    lambda modes: [(m,) for m in modes])
+
+
+@settings(max_examples=30)
+@given(st.lists(st.one_of(_BLOCK.map(lambda block: [block]), _SEVEN), max_size=30).map(
+    lambda runs: [block for run in runs for block in run]))
+@example([(m,) for m in range(7)] + [(7, 8), (9,), (0, 1), (10,)])
+def test_layers_are_those_of_the_plain_scan(block_modes):
+    assert _layers(block_modes) == _plain_layers(block_modes)
 
 
 def test_quadrature_variance_pi_periodic():

@@ -20,11 +20,13 @@ from sqzsim import (
     run_spec,
     total_efficiency,
 )
+from sqzsim.gaussian import LAYER_MODES, _layers
 
 
 def test_paper_chip_run_applies_each_channel_once(monkeypatch):
-    # one per statement, none for detection; the vacuum and every
-    # propagated state are physical by construction, so nothing is eigensolved
+    # one per layer, none for detection: all three statements act on `sig`, so
+    # each is its own layer; the vacuum and every propagated state are physical
+    # by construction, so nothing is eigensolved
     calls = {"apply": 0, "eigvalsh": 0}
     apply, eigvalsh = GaussianChannel.apply, np.linalg.eigvalsh
 
@@ -150,15 +152,39 @@ def _statement_modes(spec):
     return [tuple(index[getattr(st, name)] for name in st._mode_fields) for st in spec.statements]
 
 
-def test_compiled_chip_is_one_channel_per_statement_in_order():
-    # no channel carries the 2N x 2N identity: each is its statement's own block on exactly
-    # that statement's modes, so compile and apply stay O(N) per statement
+def test_compiled_channels_are_capped_layers_in_statement_order():
+    # no channel carries the 2N x 2N identity: each layer is a block on at most
+    # LAYER_MODES modes, so compile and apply stay O(N) per statement
     spec = _chip(64, seed=3)
     channels = compile_spec(spec)[0]
-    assert [channel.modes for channel in channels] == _statement_modes(spec)
     for channel in channels:
-        assert channel.X.shape == channel.Y.shape == (2 * len(channel.modes),) * 2
+        assert len(set(channel.modes)) == len(channel.modes) <= LAYER_MODES
+        assert channel.X.shape[0] == channel.Y.shape[0] <= 2 * LAYER_MODES
         assert channel.n_modes == 64
+    statement_modes = _statement_modes(spec)
+    layers = _layers(statement_modes)
+    assert len(layers) == len(channels) < len(statement_modes)
+    assert sorted(i for layer in layers for i in layer) == list(range(len(statement_modes)))
+    layer_of = {i: k for k, layer in enumerate(layers) for i in layer}
+    for layer, channel in zip(layers, channels):
+        assert channel.modes == tuple(m for i in layer for m in statement_modes[i])
+    last = {}   # mode -> layer of the last statement on it so far
+    for i, modes in enumerate(statement_modes):
+        for m in modes:
+            assert last.get(m, -1) < layer_of[i]
+            last[m] = layer_of[i]
+
+
+def test_a_squeezer_on_every_mode_of_a_wide_chip_fills_capped_layers():
+    # without the cap these 512 commuting squeezers would make one dense 1024 x 1024 block
+    names = [f"m{i}" for i in range(512)]
+    spec = parse("modes: " + " ".join(names) + "\n" + "".join(f"squeezer {name} r=0.1\n" for name in names)
+                 + "homodyne m0 eta_pd=0.88 eta_e=0.95 ratio=0.5 sweep=0:6.28:8\n")
+    channels = compile_spec(spec)[0]
+    assert len(channels) == 512 // LAYER_MODES
+    assert all(len(channel.modes) == LAYER_MODES and channel.X.shape == (2 * LAYER_MODES,) * 2
+               for channel in channels)
+    assert sorted(m for channel in channels for m in channel.modes) == list(range(512))
 
 
 def test_output_state_matches_dense_propagation():
