@@ -15,8 +15,19 @@ time, so a command runs only the sqzsim modules it calls. Of the commands,
 only `simulate --seed` loads numpy: `simulate --noiseless` walks the
 measured mode's cone over Python floats (`simulate.run_noiseless`), unless
 its sweep points x (cone statements + 1) is past `simulate.FLOAT_WALK_LIMIT`.
+
+`run` is the process entry, of `python -m sqzsim.cli` and of the `sqzsim`
+script; `main(argv)` is for callers in a process of their own. `run` flushes
+stdout itself, so a failed write (a full disk, a closed pipe) is one `error:`
+line and exit 3 whether stdout is buffered or not, rather than the
+interpreter's exit 120 at shutdown. It then freezes the garbage collector:
+shutdown's collections would otherwise walk every object the process made
+(numpy's modules for `simulate --seed`), some 10 ms of a process that only
+exits. It leaves through `sys.exit`, not `os._exit`, so that atexit handlers,
+coverage and `python -m cProfile -m sqzsim.cli` still run.
 """
 
+import gc
 import io
 import os
 import stat
@@ -81,6 +92,8 @@ def cmd_simulate(args):
     spec = _spec(args.netlist)
     if not args.noiseless and args.seed is None:
         raise ValueError("--seed is required unless --noiseless is given")
+    if args.noiseless and args.seed is not None:
+        raise ValueError("give either --seed or --noiseless, not both")
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if os.path.realpath(args.csv) == os.path.realpath(args.report):
@@ -261,5 +274,18 @@ def main(argv=None):
         return EXIT_DOMAIN
 
 
+def run():
+    """Run the process's command line and exit with its code (see the module docstring)."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _fail(exc, EXIT_IO)
+        # the idiom of the `signal` docs' SIGPIPE note: shutdown flushes stdout again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, output formats, reproducibility."""
 
+import ast
 import contextlib
+import errno
 import io
 import json
 import math
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sqzsim.cli
 import sqzsim.simulate
 from sqzsim import data_path, parse
 from sqzsim.cli import _COMMANDS, _flags, main
@@ -117,6 +120,13 @@ def test_simulate_requires_seed_unless_noiseless(chip_file, tmp_path, capsys):
     assert main(["simulate", str(chip_file),
                  "--csv", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_seed_with_noiseless(chip_file, tmp_path, capsys):
+    assert main(["simulate", str(chip_file), "--noiseless", "--seed", "5",
+                 "--csv", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: give either --seed or --noiseless, not both\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_simulate_rejects_negative_seed(chip_file, tmp_path, capsys):
@@ -495,8 +505,10 @@ def test_scalar_commands_reject_non_finite_results(argv, capsys):
     ["extrapolate", "--gain"], ["extrapolate", "--gain", "x", "--pump-mw", "4"],
     ["simulate", str(CHIP), "--seed", "1.5"], ["simulate", str(CHIP), "--noiseless=1"],
     ["simulate", str(CHIP), "--noise"], ["validate"], ["validate", str(CHIP), str(CHIP)],
+    ["simulate", str(CHIP), "--noiseless", "--seed", "5"],
 ], ids=["none", "unknown-command", "missing-flag", "unknown-flag", "no-value", "not-a-float",
-        "not-an-int", "switch-with-value", "prefix", "missing-positional", "extra-positional"])
+        "not-an-int", "switch-with-value", "prefix", "missing-positional", "extra-positional",
+        "seed-with-noiseless"])
 def test_bad_arguments_exit_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -576,3 +588,78 @@ def test_scalar_commands_keep_the_one_line_contract(argv):
     # --flag v and --flag=v are one argument
     joined = [argv[0], *(f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2]))]
     assert _run(joined) == (code, out, err)
+
+
+# The process entry, `run`: what a process gets beyond `main(argv)`.
+
+EXTRAPOLATE = ["extrapolate", "--gain", "0.058014", "--pump-mw", "500", "--eta-eff", "0.95"]
+
+
+def _process_env(buffered=True):
+    """The environment of a CLI child; stdout is buffered unless PYTHONUNBUFFERED is set."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+@contextlib.contextmanager
+def _full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    with open("/dev/full", "wb") as device:
+        yield device
+
+
+@contextlib.contextmanager
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink,argv,code", [
+    (_full_device, ["validate", str(CHIP)], errno.ENOSPC),
+    (_closed_pipe, EXTRAPOLATE, errno.EPIPE),
+], ids=["dev-full", "closed-pipe"])
+def test_a_failed_stdout_write_is_one_error_line_and_exit_3(sink, argv, code, buffered):
+    with sink() as stdout:
+        done = subprocess.run([sys.executable, "-m", "sqzsim.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=_process_env(buffered))
+    assert done.returncode == 3
+    assert done.stderr == f"error: [Errno {code}] {os.strerror(code)}\n"
+
+
+def test_the_process_entry_keeps_atexit_handlers(chip_file):
+    # os._exit in place of the GC freeze would skip the handler
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(print, 'atexit handler ran')\n"
+              f"sys.argv[1:] = ['validate', {str(chip_file)!r}]\n"
+              "runpy.run_module('sqzsim.cli', run_name='__main__', alter_sys=True)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                          env=_process_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{chip_file}: OK\natexit handler ran\n"
+
+
+def test_the_process_entry_runs_under_cprofile(chip_file):
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "sqzsim.cli", "validate", str(chip_file)],
+                          capture_output=True, text=True, timeout=60, env=_process_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"{chip_file}: OK\n")
+    assert "function calls" in done.stdout and "Ordered by" in done.stdout
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = pyproject["project"]["scripts"]["sqzsim"].partition(":")
+    assert module == "sqzsim.cli" and callable(getattr(sqzsim.cli, name))
+    source = ast.parse(Path(sqzsim.cli.__file__).read_text(encoding="utf-8"))
+    guard, = (node for node in source.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(statement) for statement in guard.body] == [f"{name}()"]
