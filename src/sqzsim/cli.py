@@ -278,7 +278,8 @@ def run():
     """Run the process's command line and exit with its code (see the module docstring)."""
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:   # None when fd 1 was closed at start; print then writes nothing
+            sys.stdout.flush()
     except OSError as exc:
         code = _fail(exc, EXIT_IO)
         # the idiom of the `signal` docs' SIGPIPE note: shutdown flushes stdout again

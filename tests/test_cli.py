@@ -634,6 +634,14 @@ def test_a_failed_stdout_write_is_one_error_line_and_exit_3(sink, argv, code, bu
     assert done.stderr == f"error: [Errno {code}] {os.strerror(code)}\n"
 
 
+def test_a_process_started_without_stdout_exits_0(chip_file):
+    # fd 1 closed at start: sys.stdout is None, and print writes nothing
+    done = subprocess.run([sys.executable, "-m", "sqzsim.cli", "validate", str(chip_file)],
+                          stderr=subprocess.PIPE, text=True, timeout=60, env=_process_env(),
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_the_process_entry_keeps_atexit_handlers(chip_file):
     # os._exit in place of the GC freeze would skip the handler
     script = ("import atexit, runpy, sys\n"
