@@ -16,15 +16,16 @@ only `simulate --seed` loads numpy: `simulate --noiseless` walks the
 measured mode's cone over Python floats (`simulate.run_noiseless`), unless
 its sweep points x (cone statements + 1) is past `simulate.FLOAT_WALK_LIMIT`.
 
-`run` is the process entry, of `python -m sqzsim.cli` and of the `sqzsim`
-script; `main(argv)` is for callers in a process of their own. `run` flushes
-stdout itself, so a failed write (a full disk, a closed pipe) is one `error:`
-line and exit 3 whether stdout is buffered or not, rather than the
-interpreter's exit 120 at shutdown. It then freezes the garbage collector:
-shutdown's collections would otherwise walk every object the process made
-(numpy's modules for `simulate --seed`), some 10 ms of a process that only
-exits. It leaves through `sys.exit`, not `os._exit`, so that atexit handlers,
-coverage and `python -m cProfile -m sqzsim.cli` still run.
+`run` is the process entry of `python -m sqzsim.cli` and of the `sqzsim`
+script; in-process callers use `main(argv)`, which returns the exit code.
+`run` flushes stdout itself, so a failed write (a full disk, a closed pipe)
+is one `error:` line and exit 3 whether stdout is buffered or not, not the
+interpreter's two-line message and exit 120 at shutdown. It then freezes
+the garbage collector, so that shutdown's collections skip every object
+the process made (numpy's modules, and whatever `site` imported): 7-36 ms
+of a CLI process on a 2-vCPU x86-64 host. It exits through `sys.exit`, not
+`os._exit`, so that atexit handlers, coverage and `python -m cProfile -m
+sqzsim.cli` still run.
 """
 
 import gc

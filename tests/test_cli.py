@@ -122,13 +122,6 @@ def test_simulate_requires_seed_unless_noiseless(chip_file, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_simulate_rejects_a_seed_with_noiseless(chip_file, tmp_path, capsys):
-    assert main(["simulate", str(chip_file), "--noiseless", "--seed", "5",
-                 "--csv", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")]) == 2
-    assert capsys.readouterr().err == "error: give either --seed or --noiseless, not both\n"
-    assert not (tmp_path / "t.csv").exists()
-
-
 def test_simulate_rejects_negative_seed(chip_file, tmp_path, capsys):
     assert main(["simulate", str(chip_file), "--seed", "-1",
                  "--csv", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")]) == 2
