@@ -20,7 +20,9 @@ its sweep points x (cone statements + 1) is past `simulate.FLOAT_WALK_LIMIT`.
 script; in-process callers use `main(argv)`, which returns the exit code.
 `run` flushes stdout itself, so a failed write (a full disk, a closed pipe)
 is one `error:` line and exit 3 whether stdout is buffered or not, not the
-interpreter's two-line message and exit 120 at shutdown. It then freezes
+interpreter's two-line message and exit 120 at shutdown. A failure whose
+stderr line cannot be written exits 3 too, with nothing more printed, not
+a traceback and exit 1. It then freezes
 the garbage collector, so that shutdown's collections skip every object
 the process made (numpy's modules, and whatever `site` imported): 7-36 ms
 of a CLI process on a 2-vCPU x86-64 host. It exits through `sys.exit`, not
@@ -44,8 +46,27 @@ EXIT_IO = 3
 
 
 def _fail(message, code):
-    print(f"error: {message}", file=sys.stderr)
+    return _stderr(f"error: {message}", code)
+
+
+def _stderr(line, code):
+    """Print a failure's one stderr line and return its exit code: `code`, or EXIT_IO when
+    stderr cannot take the line (a full disk, a pipe its reader closed)."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
+        return EXIT_IO
     return code
+
+
+def _to_devnull(stream):
+    """Point a stream whose write failed at the null device. Shutdown flushes the stream
+    again, and a write that fails there is a second message and exit 120; this is the
+    idiom of the `signal` docs' SIGPIPE note."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
 
 
 def _spec(path):
@@ -271,8 +292,7 @@ def main(argv=None):
     except ValueError as exc:   # usage errors included
         return _fail(exc, EXIT_DOMAIN)
     except netlist.NetlistParseError as exc:   # last: naming it loads netlist, which analyze never needs
-        print(f"{args.netlist}:{exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _stderr(f"{args.netlist}:{exc}", EXIT_DOMAIN)
 
 
 def run():
@@ -283,8 +303,7 @@ def run():
             sys.stdout.flush()
     except OSError as exc:
         code = _fail(exc, EXIT_IO)
-        # the idiom of the `signal` docs' SIGPIPE note: shutdown flushes stdout again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
     gc.freeze()
     sys.exit(code)
 

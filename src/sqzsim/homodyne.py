@@ -12,11 +12,20 @@ formula, for numpy arrays and for Python floats alike, so `simulate`'s
 noiseless route, which runs without numpy, writes the bytes of its array
 route. numpy is imported by the functions that compute with arrays, so
 importing this module loads none.
+
+A phase column depends on its sweep alone, so a process formats each
+distinct one once: `trace_csv` keeps the columns' text in a process-wide
+memo keyed by their exact float64 bits (so a -0.0 phase never reads as
+0.0), which holds at most PHASE_MEMO_POINTS points and drops its oldest
+columns to make room. Only phases are kept; each call formats its dB
+column anew.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import threading
 
 from . import gaussian
 from ._record import Record, read_only
@@ -114,13 +123,52 @@ def synthesize_trace(trace, m_samples, seed):
     return HomodyneTrace(trace.phases, to_db(from_db(trace.variance_db) * factors))
 
 
+# the most phase points whose text the memo holds: one column of the longest
+# sweep (netlist.MAX_SWEEP_POINTS), about 8.4 MB of strings and key
+PHASE_MEMO_POINTS = 100_000
+
+
+class _PhaseText:
+    """Bounded memo of phase columns' row prefixes `f"{p!r},"`, keyed by the columns' float64 bytes."""
+
+    def __init__(self):
+        self.held = 0   # points in the memo, at most PHASE_MEMO_POINTS
+        self._columns = {}   # bytes -> prefixes, oldest first
+        self._lock = threading.Lock()
+
+    def prefixes(self, bits, phases):
+        """The prefixes of the column whose bytes are `bits`; `phases` (a list of floats, or an
+        array read with `tolist`) is formatted only when the memo does not hold them."""
+        column = self._columns.get(bits)
+        if column is None:
+            column = [f"{p!r}," for p in (phases if isinstance(phases, list) else phases.tolist())]
+            with self._lock:
+                if len(column) <= PHASE_MEMO_POINTS and bits not in self._columns:
+                    while self.held + len(column) > PHASE_MEMO_POINTS:
+                        self.held -= len(self._columns.pop(next(iter(self._columns))))
+                    self._columns[bits] = column
+                    self.held += len(column)
+        return column
+
+
+_PHASE_TEXT = _PhaseText()
+
+
 def trace_csv(phases, variance_db):
-    """`phase_rad,variance_db` CSV text (LF endings, `.` decimal point) of two sequences of floats."""
-    return "phase_rad,variance_db\n" + "".join(f"{p!r},{v!r}\n" for p, v in zip(phases, variance_db))
+    """`phase_rad,variance_db` CSV text (LF endings, `.` decimal point): row k is
+    `f"{phases[k]!r},{variance_db[k]!r}\n"`.
+
+    `phases` is a list of floats or a 1-D float64 array, `variance_db` a
+    sequence of floats. The phase column's text comes from the memo of the
+    module docstring, so the two forms of one column give the same bytes.
+    """
+    bits = struct.pack(f"{len(phases)}d", *phases) if isinstance(phases, list) else phases.tobytes()
+    prefixes = _PHASE_TEXT.prefixes(bits, phases)
+    return "phase_rad,variance_db\n" + "".join([f"{p}{v!r}\n" for p, v in zip(prefixes, variance_db)])
 
 
 def write_trace_csv(trace, stream):
     """Write a trace's `trace_csv` text to a text stream; return the text."""
-    text = trace_csv(trace.phases.tolist(), trace.variance_db.tolist())
+    text = trace_csv(trace.phases, trace.variance_db.tolist())
     stream.write(text)
     return text

@@ -627,6 +627,19 @@ def test_a_failed_stdout_write_is_one_error_line_and_exit_3(sink, argv, code, bu
     assert done.stderr == f"error: [Errno {code}] {os.strerror(code)}\n"
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", [_full_device, _closed_pipe], ids=["dev-full", "closed-pipe"])
+@pytest.mark.parametrize("argv", [["validate", "missing.nl"], ["validate"], ["validate", "bad.nl"]],
+                         ids=["io-error", "usage-error", "parse-error"])
+def test_a_failed_stderr_write_is_exit_3_and_nothing_more(tmp_path, argv, sink, buffered):
+    # the `error:` line that cannot be written was a traceback nobody saw and exit 1
+    (tmp_path / "bad.nl").write_text("modes: sig\nbogus\n", encoding="utf-8")
+    with sink() as stderr:
+        done = subprocess.run([sys.executable, "-m", "sqzsim.cli", *argv], cwd=tmp_path, stderr=stderr,
+                              stdout=subprocess.PIPE, text=True, timeout=60, env=_process_env(buffered))
+    assert (done.returncode, done.stdout) == (3, "")
+
+
 def test_a_process_started_without_stdout_exits_0(chip_file):
     # fd 1 closed at start: sys.stdout is None, and print writes nothing
     done = subprocess.run([sys.executable, "-m", "sqzsim.cli", "validate", str(chip_file)],

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,14 +17,20 @@ from sqzsim import (
     apply_loss,
     apply_squeezer,
     effective_efficiency,
+    homodyne,
     measure_variance,
+    parse,
     phase_grid,
     purity_product,
+    run_spec,
     sweep,
     synthesize_trace,
     vacuum,
     write_trace_csv,
 )
+from sqzsim.homodyne import trace_csv
+from sqzsim.netlist import MAX_SWEEP_POINTS
+from sqzsim.simulate import run_noiseless
 
 
 def chain(**fields):
@@ -235,3 +242,76 @@ def test_csv_rows_are_the_reprs_of_the_python_floats():
     trace = HomodyneTrace(phases=np.array(awkward), variance_db=np.array(awkward[::-1]))
     rows = write_trace_csv(trace, io.StringIO()).splitlines(keepends=True)
     assert rows[1:] == [f"{x!r},{y!r}\n" for x, y in zip(awkward, awkward[::-1])]
+
+
+# The phase-column memo of `trace_csv`: each test starts from an empty one.
+
+@pytest.fixture
+def memo(monkeypatch):
+    fresh = homodyne._PhaseText()
+    monkeypatch.setattr(homodyne, "_PHASE_TEXT", fresh)
+    return fresh
+
+
+def cold_csv(phases, variance_db):
+    """The CSV text formatted row by row, as it was before the memo."""
+    return "phase_rad,variance_db\n" + "".join(f"{p!r},{v!r}\n" for p, v in zip(phases, variance_db))
+
+
+def test_a_negative_zero_phase_is_not_the_memo_column_of_a_positive_zero(memo):
+    # -0.0 == 0.0, so a key of the phases' values would print the first column's 0.0 here
+    chip = "modes: sig\nsqueezer sig r=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep={}:-1:4\n"
+    for start in ("0.0", "-0.0"):
+        spec = parse(chip.format(start))
+        trace, _ = run_spec(spec)
+        text = write_trace_csv(trace, io.StringIO())
+        assert text.splitlines()[1].startswith(start + ",")
+        assert text == cold_csv(trace.phases.tolist(), trace.variance_db.tolist())
+        phases, variance_db, _ = run_noiseless(spec)   # the float route, a memo hit
+        assert trace_csv(phases, variance_db) == text
+    assert len(memo._columns) == 2
+
+
+def test_a_column_with_nan_phases_is_formatted_and_found_again(memo):
+    phases = [math.nan, -math.nan, 0.5]
+    for _ in range(2):
+        assert trace_csv(phases, [1.0, 2.0, 3.0]) == "phase_rad,variance_db\nnan,1.0\nnan,2.0\n0.5,3.0\n"
+    assert memo.held == 3
+
+
+def test_interleaved_sweeps_each_read_their_own_column(memo):
+    a = phase_grid(0.0, 2 * np.pi, 720)
+    b = phase_grid(0.0, 2 * np.pi, 719)
+    for phases, shift in ((a, 0.0), (b, 1.0), (a, 2.0)):
+        trace = HomodyneTrace(phases, np.sin(phases) + shift)
+        expected = cold_csv(phases.tolist(), trace.variance_db.tolist())
+        assert write_trace_csv(trace, io.StringIO()) == expected
+    assert memo.held == 720 + 719
+
+
+@pytest.mark.parametrize("first", ["array", "floats"])
+def test_both_forms_of_a_column_share_its_memo_entry_and_bytes(memo, first):
+    trace = HomodyneTrace(phase_grid(-1.0, 3.0, 97), np.linspace(-2.0, 2.8, 97))
+    routes = {"array": lambda: write_trace_csv(trace, io.StringIO()),
+              "floats": lambda: trace_csv(trace.phases.tolist(), trace.variance_db.tolist())}
+    miss = routes.pop(first)()
+    assert miss == routes.popitem()[1]() == cold_csv(trace.phases.tolist(), trace.variance_db.tolist())
+    assert len(memo._columns) == 1
+
+
+def test_the_memo_holds_no_more_than_its_bound(memo):
+    assert homodyne.PHASE_MEMO_POINTS == MAX_SWEEP_POINTS   # the longest sweep's column fits
+    longest = phase_grid(0.0, 2 * np.pi, MAX_SWEEP_POINTS)
+    tracemalloc.start()
+    try:
+        trace_csv(longest, np.zeros(MAX_SWEEP_POINTS).tolist())
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert memo.held == MAX_SWEEP_POINTS
+    assert retained < 9e6   # the column's prefixes and its 800 kB key
+    paper = phase_grid(0.0, 2 * np.pi, 720)
+    assert trace_csv(paper, [0.0] * 720) == cold_csv(paper.tolist(), [0.0] * 720)
+    assert memo.held == sum(map(len, memo._columns.values())) == 720   # the longest column made room
+    assert len(trace_csv([0.0] * (MAX_SWEEP_POINTS + 1), [0.0] * 3).splitlines()) == 4
+    assert memo.held == 720   # a column past the bound is formatted but not kept
