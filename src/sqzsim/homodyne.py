@@ -136,12 +136,14 @@ class _PhaseText:
         self._columns = {}   # bytes -> prefixes, oldest first
         self._lock = threading.Lock()
 
-    def prefixes(self, bits, phases):
-        """The prefixes of the column whose bytes are `bits`; `phases` (a list of floats, or an
-        array read with `tolist`) is formatted only when the memo does not hold them."""
+    def prefixes(self, phases):
+        """The prefixes of a column of phases, a list of floats or a 1-D float64 array (read
+        with `tolist` only when the memo does not hold the column)."""
+        floats = isinstance(phases, list)
+        bits = struct.pack(f"{len(phases)}d", *phases) if floats else phases.tobytes()
         column = self._columns.get(bits)
         if column is None:
-            column = [f"{p!r}," for p in (phases if isinstance(phases, list) else phases.tolist())]
+            column = [f"{p!r}," for p in (phases if floats else phases.tolist())]
             with self._lock:
                 if len(column) <= PHASE_MEMO_POINTS and bits not in self._columns:
                     while self.held + len(column) > PHASE_MEMO_POINTS:
@@ -162,8 +164,7 @@ def trace_csv(phases, variance_db):
     sequence of floats. The phase column's text comes from the memo of the
     module docstring, so the two forms of one column give the same bytes.
     """
-    bits = struct.pack(f"{len(phases)}d", *phases) if isinstance(phases, list) else phases.tobytes()
-    prefixes = _PHASE_TEXT.prefixes(bits, phases)
+    prefixes = _PHASE_TEXT.prefixes(phases)
     return "phase_rad,variance_db\n" + "".join([f"{p}{v!r}\n" for p, v in zip(prefixes, variance_db)])
 
 

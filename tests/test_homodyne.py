@@ -2,6 +2,8 @@
 
 import io
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -315,3 +317,31 @@ def test_the_memo_holds_no_more_than_its_bound(memo):
     assert memo.held == sum(map(len, memo._columns.values())) == 720   # the longest column made room
     assert len(trace_csv([0.0] * (MAX_SWEEP_POINTS + 1), [0.0] * 3).splitlines()) == 4
     assert memo.held == 720   # a column past the bound is formatted but not kept
+
+
+def test_threads_sharing_the_memo_read_their_own_columns_and_keep_its_count(memo, monkeypatch):
+    # eight 3-point columns overfill a 10-point memo, so the threads evict one another's columns
+    monkeypatch.setattr(homodyne, "PHASE_MEMO_POINTS", 10)
+    columns = [[k + 0.5, k + 0.25, -k - 0.125] for k in range(8)]
+    expected = [cold_csv(phases, [1.5] * 3) for phases in columns]
+    wrong = []
+
+    def work(offset):
+        for i in range(2000):
+            k = (offset + i) % len(columns)
+            if trace_csv(columns[k], [1.5] * 3) != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert memo.held == sum(map(len, memo._columns.values())) <= 10
