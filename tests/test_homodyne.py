@@ -256,7 +256,7 @@ def memo(monkeypatch):
 
 
 def cold_csv(phases, variance_db):
-    """The CSV text formatted row by row, as it was before the memo."""
+    """The reference CSV text: each row formatted from its own two floats."""
     return "phase_rad,variance_db\n" + "".join(f"{p!r},{v!r}\n" for p, v in zip(phases, variance_db))
 
 
