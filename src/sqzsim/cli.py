@@ -110,6 +110,13 @@ def _write_all(texts):
             fh.write(text)
 
 
+def _same_file(a, b):
+    """Whether two paths name one file: the same resolved path, or, when both exist, one
+    file reached through hard links, which `realpath` does not see."""
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
+
+
 def cmd_simulate(args):
     spec = _spec(args.netlist)
     if not args.noiseless and args.seed is None:
@@ -118,11 +125,10 @@ def cmd_simulate(args):
         raise ValueError("give either --seed or --noiseless, not both")
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if os.path.realpath(args.csv) == os.path.realpath(args.report):
+    if _same_file(args.csv, args.report):
         raise ValueError(f"--csv and --report name the same file {args.report!r}")
-    netlist_path = os.path.realpath(args.netlist)
     for flag, path in (("--csv", args.csv), ("--report", args.report)):
-        if os.path.realpath(path) == netlist_path:
+        if _same_file(path, args.netlist):
             raise ValueError(f"{flag} names the netlist {args.netlist!r}")
     if args.noiseless:   # up to simulate.FLOAT_WALK_LIMIT, the walk over Python floats, without numpy
         phases, variance_db, report = simulate.run_noiseless(spec)

@@ -13,21 +13,22 @@ noiseless route, which runs without numpy, writes the bytes of its array
 route. numpy is imported by the functions that compute with arrays, so
 importing this module loads none.
 
-A phase column depends on its sweep alone, so a process formats each
-distinct one once: `trace_csv` keeps the columns' text in a process-wide
-memo keyed by their exact float64 bits (so a -0.0 phase never reads as
-0.0), which holds at most PHASE_MEMO_POINTS points and drops its oldest
-columns to make room. Only phases are kept; each call formats its dB
-column anew.
+A phase column depends on its sweep alone, so `trace_csv` keeps the text
+of the last column it formatted, keyed by the column's exact float64 bits
+(so a -0.0 phase never reads as 0.0): a process that writes one sweep
+again and again formats its phases once. A column longer than
+`netlist.MAX_SWEEP_POINTS`, the longest sweep the parser accepts, is
+formatted but not kept, so the memo holds at most one column of that many
+points. Only phases are kept; each call formats its dB column anew.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
-import threading
 
-from . import gaussian
+from . import gaussian, netlist   # netlist.MAX_SWEEP_POINTS is read at call time
 from ._record import Record, read_only
 from .conversions import detected, from_db, to_db
 
@@ -123,48 +124,29 @@ def synthesize_trace(trace, m_samples, seed):
     return HomodyneTrace(trace.phases, to_db(from_db(trace.variance_db) * factors))
 
 
-# the most phase points whose text the memo holds: one column of the longest
-# sweep (netlist.MAX_SWEEP_POINTS), about 8.4 MB of strings and key
-PHASE_MEMO_POINTS = 100_000
-
-
-class _PhaseText:
-    """Bounded memo of phase columns' row prefixes `f"{p!r},"`, keyed by the columns' float64 bytes."""
-
-    def __init__(self):
-        self.held = 0   # points in the memo, at most PHASE_MEMO_POINTS
-        self._columns = {}   # bytes -> prefixes, oldest first
-        self._lock = threading.Lock()
-
-    def prefixes(self, phases):
-        """The prefixes of a column of phases, a list of floats or a 1-D float64 array (read
-        with `tolist` only when the memo does not hold the column)."""
-        floats = isinstance(phases, list)
-        bits = struct.pack(f"{len(phases)}d", *phases) if floats else phases.tobytes()
-        column = self._columns.get(bits)
-        if column is None:
-            column = [f"{p!r}," for p in (phases if floats else phases.tolist())]
-            with self._lock:
-                if len(column) <= PHASE_MEMO_POINTS and bits not in self._columns:
-                    while self.held + len(column) > PHASE_MEMO_POINTS:
-                        self.held -= len(self._columns.pop(next(iter(self._columns))))
-                    self._columns[bits] = column
-                    self.held += len(column)
-        return column
-
-
-_PHASE_TEXT = _PhaseText()
+@functools.lru_cache(maxsize=1)
+def _phase_prefixes(bits):
+    """Row prefixes `f"{p!r},"` of a phase column, from its float64 bytes: a hit and a miss
+    read the same doubles, and a numpy scalar's repr is never used. A tuple, as every caller
+    shares it."""
+    return tuple([f"{p!r}," for p in struct.unpack(f"{len(bits) // 8}d", bits)])
 
 
 def trace_csv(phases, variance_db):
     """`phase_rad,variance_db` CSV text (LF endings, `.` decimal point): row k is
     `f"{phases[k]!r},{variance_db[k]!r}\n"`.
 
-    `phases` is a list of floats or a 1-D float64 array, `variance_db` a
+    `phases` is a list of floats or a 1-D float array, `variance_db` a
     sequence of floats. The phase column's text comes from the memo of the
-    module docstring, so the two forms of one column give the same bytes.
+    module docstring, keyed by the column's float64 bytes, so the two forms
+    of one column give the same bytes.
     """
-    prefixes = _PHASE_TEXT.prefixes(phases)
+    if isinstance(phases, list):
+        bits = struct.pack(f"{len(phases)}d", *phases)
+    else:
+        bits = phases.astype(float, copy=False).tobytes()
+    memo = _phase_prefixes if len(phases) <= netlist.MAX_SWEEP_POINTS else _phase_prefixes.__wrapped__
+    prefixes = memo(bits)
     return "phase_rad,variance_db\n" + "".join([f"{p}{v!r}\n" for p, v in zip(prefixes, variance_db)])
 
 

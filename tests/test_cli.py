@@ -346,6 +346,38 @@ def test_simulate_rejects_one_path_for_both_outputs(tmp_path, capsys, monkeypatc
     assert os.listdir(tmp_path) == []
 
 
+def hard_link(source, target):
+    try:
+        os.link(source, target)
+    except OSError as exc:   # e.g. a file system without hard links
+        pytest.skip(f"no hard links here: {exc}")
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--report"])
+def test_simulate_will_not_write_over_a_hard_link_to_its_netlist(flag, chip_file, tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    hard_link("paper_chip.nl", "link.nl")
+    before = chip_file.read_bytes()
+    paths = {"--csv": "t.csv", "--report": "r.json", flag: "link.nl"}
+    assert main(["simulate", "paper_chip.nl", "--noiseless", *(x for kv in paths.items() for x in kv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {flag} names the netlist 'paper_chip.nl'\n"
+    assert chip_file.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["link.nl", "paper_chip.nl"]
+
+
+def test_simulate_rejects_hard_links_to_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("out.csv").write_text("old\n")
+    hard_link("out.csv", "out.json")
+    assert main(["simulate", str(CHIP), "--noiseless", "--csv", "out.csv", "--report", "out.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --csv and --report name the same file 'out.json'\n"
+    assert Path("out.csv").read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.json"]
+
+
 @pytest.mark.parametrize("command", [["validate"], ["simulate", "--noiseless"]])
 def test_an_empty_netlist_path_names_itself(command, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

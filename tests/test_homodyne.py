@@ -246,13 +246,14 @@ def test_csv_rows_are_the_reprs_of_the_python_floats():
     assert rows[1:] == [f"{x!r},{y!r}\n" for x, y in zip(awkward, awkward[::-1])]
 
 
-# The phase-column memo of `trace_csv`: each test starts from an empty one.
+# The phase-column memo of `trace_csv`, one `functools.lru_cache` column: each test starts
+# from an empty one.
 
 @pytest.fixture
-def memo(monkeypatch):
-    fresh = homodyne._PhaseText()
-    monkeypatch.setattr(homodyne, "_PHASE_TEXT", fresh)
-    return fresh
+def memo():
+    homodyne._phase_prefixes.cache_clear()
+    yield homodyne._phase_prefixes
+    homodyne._phase_prefixes.cache_clear()
 
 
 def cold_csv(phases, variance_db):
@@ -271,14 +272,14 @@ def test_a_negative_zero_phase_is_not_the_memo_column_of_a_positive_zero(memo):
         assert text == cold_csv(trace.phases.tolist(), trace.variance_db.tolist())
         phases, variance_db, _ = run_noiseless(spec)   # the float route, a memo hit
         assert trace_csv(phases, variance_db) == text
-    assert len(memo._columns) == 2
+    assert memo.cache_info()[:2] == (2, 2)   # (hits, misses): each start formatted its own column
 
 
 def test_a_column_with_nan_phases_is_formatted_and_found_again(memo):
     phases = [math.nan, -math.nan, 0.5]
     for _ in range(2):
         assert trace_csv(phases, [1.0, 2.0, 3.0]) == "phase_rad,variance_db\nnan,1.0\nnan,2.0\n0.5,3.0\n"
-    assert memo.held == 3
+    assert memo.cache_info()[:2] == (1, 1)
 
 
 def test_interleaved_sweeps_each_read_their_own_column(memo):
@@ -288,7 +289,7 @@ def test_interleaved_sweeps_each_read_their_own_column(memo):
         trace = HomodyneTrace(phases, np.sin(phases) + shift)
         expected = cold_csv(phases.tolist(), trace.variance_db.tolist())
         assert write_trace_csv(trace, io.StringIO()) == expected
-    assert memo.held == 720 + 719
+    assert memo.cache_info() == (0, 3, 1, 1)   # one column held: each switch formats anew
 
 
 @pytest.mark.parametrize("first", ["array", "floats"])
@@ -298,11 +299,22 @@ def test_both_forms_of_a_column_share_its_memo_entry_and_bytes(memo, first):
               "floats": lambda: trace_csv(trace.phases.tolist(), trace.variance_db.tolist())}
     miss = routes.pop(first)()
     assert miss == routes.popitem()[1]() == cold_csv(trace.phases.tolist(), trace.variance_db.tolist())
-    assert len(memo._columns) == 1
+    assert memo.cache_info()[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("view", ["float32", "strided"])
+def test_the_memo_key_is_the_columns_float64_values(memo, view):
+    # a float32 column's raw bytes read as float64 would be other phases, half as many
+    grid = phase_grid(-1.0, 3.0, 97)
+    phases = grid.astype(np.float32) if view == "float32" else grid[::2]
+    variance_db = np.linspace(-2.0, 2.8, phases.size).tolist()
+    expected = cold_csv(phases.tolist(), variance_db)
+    assert trace_csv(phases, variance_db) == expected
+    assert trace_csv(phases.tolist(), variance_db) == expected   # the float form of the column, a hit
+    assert memo.cache_info()[:2] == (1, 1)
 
 
 def test_the_memo_holds_no_more_than_its_bound(memo):
-    assert homodyne.PHASE_MEMO_POINTS == MAX_SWEEP_POINTS   # the longest sweep's column fits
     longest = phase_grid(0.0, 2 * np.pi, MAX_SWEEP_POINTS)
     tracemalloc.start()
     try:
@@ -310,18 +322,19 @@ def test_the_memo_holds_no_more_than_its_bound(memo):
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert memo.held == MAX_SWEEP_POINTS
+    assert memo.cache_info()[1:] == (1, 1, 1)   # the longest sweep's column is kept
     assert retained < 9e6   # the column's prefixes and its 800 kB key
     paper = phase_grid(0.0, 2 * np.pi, 720)
     assert trace_csv(paper, [0.0] * 720) == cold_csv(paper.tolist(), [0.0] * 720)
-    assert memo.held == sum(map(len, memo._columns.values())) == 720   # the longest column made room
+    assert memo.cache_info()[1:] == (2, 1, 1)   # the paper column took the longest one's place
     assert len(trace_csv([0.0] * (MAX_SWEEP_POINTS + 1), [0.0] * 3).splitlines()) == 4
-    assert memo.held == 720   # a column past the bound is formatted but not kept
+    assert memo.cache_info()[1:] == (2, 1, 1)   # a column past the bound is formatted but not kept
+    trace_csv(paper, [0.0] * 720)
+    assert memo.cache_info() == (1, 2, 1, 1)
 
 
-def test_threads_sharing_the_memo_read_their_own_columns_and_keep_its_count(memo, monkeypatch):
-    # eight 3-point columns overfill a 10-point memo, so the threads evict one another's columns
-    monkeypatch.setattr(homodyne, "PHASE_MEMO_POINTS", 10)
+def test_threads_sharing_the_memo_read_their_own_columns_and_keep_its_count(memo):
+    # eight 3-point columns share a one-column memo, so the threads evict one another's columns
     columns = [[k + 0.5, k + 0.25, -k - 0.125] for k in range(8)]
     expected = [cold_csv(phases, [1.5] * 3) for phases in columns]
     wrong = []
@@ -344,4 +357,5 @@ def test_threads_sharing_the_memo_read_their_own_columns_and_keep_its_count(memo
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert memo.held == sum(map(len, memo._columns.values())) <= 10
+    hits, misses, _, held = memo.cache_info()
+    assert hits + misses == 8 * 2000 and held == 1

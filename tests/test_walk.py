@@ -11,11 +11,15 @@ the two routes differ on chips that only the dense state cannot hold; those
 cases are pinned here.
 """
 
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +109,70 @@ def test_walk_is_the_oracles_far_past_a_forward_double(spec):
     assert abs(report.raw_asq_db - float(want.raw_asq_db)) <= TOL_DB
     # the float route gives the array route's values bit for bit
     assert run_noiseless(spec) == (trace.phases.tolist(), trace.variance_db.tolist(), report)
+
+
+@st.composite
+def _chip_texts(draw):
+    """Well-formed netlist text of at most 3 modes and 6 statements, every squeezer at r <= 15,
+    given as `r` or as `pump_mw` with `gain`; its short sweep may start on a squeezer's axis."""
+    modes = [f"m{i}" for i in range(draw(st.integers(1, 3)))]
+    names = st.sampled_from(modes)
+    kinds = ["squeezer", "squeezer", "phaseshift", "loss"] + ["coupler"] * (len(modes) > 1)
+    lines, axes = ["modes: " + " ".join(modes)], [draw(_ANGLE)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        mode = draw(names)
+        if kind == "squeezer":
+            phase = draw(st.sampled_from(axes) | _ANGLE)
+            axes.append(phase)
+            if draw(st.booleans()):
+                strength = f"r={draw(st.floats(0.0, 15.0))!r}"
+            else:
+                strength = f"pump_mw={draw(st.floats(0.0, 100.0))!r} gain={draw(st.floats(0.0, 1.5))!r}"
+            excess = draw(st.sampled_from(["", " excess=1.2"]))
+            lines.append(f"squeezer {mode} {strength} phase={phase!r}{excess}")
+        elif kind == "phaseshift":
+            lines.append(f"phaseshift {mode} theta={draw(_ANGLE)!r}")
+        elif kind == "coupler":
+            other = draw(names.filter(lambda name: name != mode))
+            lines.append(f"coupler {mode} {other} ratio={draw(st.floats(0.0, 1.0))!r}")
+        else:
+            label = draw(st.sampled_from(["", " label=fresnel", " label=filter"]))
+            lines.append(f"loss {mode} eta={draw(st.floats(0.2, 1.0))!r}{label}")
+    start = draw(st.sampled_from(axes))
+    sweep = f"{start!r}:{start + draw(st.floats(0.5, 7.0))!r}:{draw(st.integers(2, 24))}"
+    eta_pd = draw(st.sampled_from(["1", "0.9"]))
+    lines.append(f"homodyne {draw(names)} eta_pd={eta_pd} eta_e=1 ratio=0.5 sweep={sweep}")
+    return "\n".join(lines) + "\n"
+
+
+def _simulate_text(text, route):
+    """(exit code, stdout, stderr, files left) of `main(["simulate", ...])` on a netlist text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "chip.nl").write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["simulate", str(Path(tmp, "chip.nl")), *ROUTES[route],
+                         "--csv", str(Path(tmp, "t.csv")), "--report", str(Path(tmp, "r.json"))])
+        return code, out.getvalue(), err.getvalue(), sorted(os.listdir(tmp))
+
+
+@settings(max_examples=30)
+@given(_chip_texts())
+def test_netlist_text_prints_the_oracles_extrema_on_both_routes(text):
+    runs = [_simulate_text(text, route) for route in ROUTES]
+    codes = {code for code, _, _, _ in runs}
+    assert codes in ({0}, {2}), runs
+    if codes == {2}:   # e.g. a trace below the budget's loss floor
+        for _, out, err, files in runs:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert files == ["chip.nl"]
+        return
+    (printed,) = {out.splitlines()[-1] for _, out, _, _ in runs}
+    extrema = re.fullmatch(r"raw squeezing (\S+) dB, antisqueezing (\S+) dB", printed)
+    want = _oracle(parse(text))
+    assert abs(float(extrema[1]) - float(want.raw_sq_db)) <= TOL_DB
+    assert abs(float(extrema[2]) - float(want.raw_asq_db)) <= TOL_DB
 
 
 def test_numpy_trig_gives_maths_bits_on_the_walks_angles():
