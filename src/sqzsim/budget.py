@@ -77,6 +77,7 @@ def total_efficiency(factors):
 
 def forward_measured(v_gen_db, eta):
     """Variance seen after a loss channel of efficiency eta, in dB."""
+    check_unit("eta", eta)
     return to_db(detected(from_db(v_gen_db), eta))
 
 

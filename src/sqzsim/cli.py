@@ -15,6 +15,7 @@ time, so a command runs only the sqzsim modules it calls. Of the commands,
 only `simulate --seed` loads numpy: `simulate --noiseless` walks the
 measured mode's cone over Python floats (`simulate.run_noiseless`), unless
 its sweep points x (cone statements + 1) is past `simulate.FLOAT_WALK_LIMIT`.
+Both routes take their model trace and report from `simulate._model`.
 
 `run` is the process entry of `python -m sqzsim.cli` and of the `sqzsim`
 script; in-process callers use `main(argv)`, which returns the exit code.

@@ -1,7 +1,8 @@
 """The rules every layer shares: the [0, 1] efficiency check, the loss model, dB and a squeezer's scales.
 
 All variances are normalised to the vacuum (shot-noise) level: 10*log10(V) is
-the dB value on a squeezing trace, and efficiency eta takes V to eta*V + (1 - eta).
+the dB value on a squeezing trace, and efficiency eta takes V to eta*V + (1 - eta)
+(`detected`, a bare formula: each public function that takes an eta checks it once).
 Scalars come back as plain floats, lists as lists and arrays as arrays. An
 int, a float or each item of a list goes through `math`, anything else
 through numpy, imported in that branch alone, so a scalar command never
@@ -27,8 +28,7 @@ def check_unit(name, value):
 
 
 def detected(v, eta):
-    """Variance `v` (a scalar or an array) seen through a loss of efficiency eta in [0, 1]."""
-    check_unit("eta", eta)
+    """Variance `v` (a scalar or an array) seen through a loss of efficiency eta; the caller checks eta."""
     return eta * v + (1.0 - eta)
 
 

@@ -30,7 +30,7 @@ import struct
 
 from . import gaussian, netlist   # netlist.MAX_SWEEP_POINTS is read at call time
 from ._record import Record, read_only
-from .conversions import detected, from_db, to_db
+from .conversions import check_unit, detected, from_db, to_db
 
 
 class HomodyneTrace(Record, eq=False):
@@ -76,6 +76,7 @@ def measure_variance(state, mode, theta, eta):
     `theta` is a scalar (gives a float) or an array of LO phases; eta must
     lie in [0, 1].
     """
+    check_unit("eta", eta)
     return detected(gaussian.quadrature_variance(state, mode, theta), eta)
 
 

@@ -12,14 +12,15 @@ exact. The statements outside that cone cannot reach the measured mode,
 so `_cone` cuts them away first, and the walk's work and memory follow
 the cone, not the declared modes.
 
-The walk runs over numpy arrays, all phases at once (`run_spec`), or over
-Python floats, one phase at a time. `run_noiseless` (the CLI's `simulate
---noiseless`) takes the float walk, which loads no numpy, while sweep
-points x (cone statements + 1) is at most FLOAT_WALK_LIMIT; past that, importing
-numpy costs less than the float walk, and it takes the array walk. Both
-walks take their phases from `homodyne.phase_at` and convert to dB through
-`to_db` of a list, so they give the same bits as long as numpy's `cos` and
-`sin` give `math`'s, as they do where numpy calls the C library's.
+Both routes run `_model`, whose walk is over numpy arrays, all phases at
+once (`run_spec`), or over Python floats, one phase at a time.
+`run_noiseless` (the CLI's `simulate --noiseless`) takes the float walk,
+which loads no numpy, while sweep points x (cone statements + 1) is at most
+FLOAT_WALK_LIMIT; past that, importing numpy costs less, and it takes the
+array walk. Either walk takes its phases from `homodyne.phase_at` and hands
+on a list of variances to one `to_db`, one finiteness check and one report,
+so the routes give the same bits as long as numpy's `cos` and `sin` give
+`math`'s, as they do where numpy calls the C library's.
 
 The report's raw values are the extrema of the noiseless model trace; when
 estimator noise is synthesized the reported uncertainty is the model
@@ -88,37 +89,25 @@ def _walk(spec, theta, cos, sin):
     return total
 
 
-def _float_trace(spec):
-    """(phases, dB values) of the detected model trace as lists, walked one phase at a time."""
-    m = spec.measurement
-    a, b, n = m.sweep
-    eta = effective_efficiency(m)
-    phases = [phase_at(a, b, n, k) for k in range(n)]
-    return phases, to_db([detected(_walk(spec, theta, math.cos, math.sin), eta) for theta in phases])
+def _model(cone, floats, unc_db=0.0):
+    """(phases, dB values as a list, report) of a `_cone`'s model trace, walked over floats (the
+    phases a list) or over arrays (the phases an array); ValueError when a dB value is not finite."""
+    a, b, n = cone.measurement.sweep
+    eta = effective_efficiency(cone.measurement)
+    if floats:
+        phases = [phase_at(a, b, n, k) for k in range(n)]
+        variance = [detected(_walk(cone, theta, math.cos, math.sin), eta) for theta in phases]
+    else:
+        import numpy as np
 
-
-def _array_trace(spec):
-    """(phases, dB values) of the detected model trace as numpy arrays, walked over all phases at once."""
-    import numpy as np
-
-    m = spec.measurement
-    phases = phase_grid(*m.sweep)
-    with np.errstate(over="ignore", invalid="ignore"):   # a walk that overflows is rejected by `_report`
-        variance = detected(_walk(spec, phases, np.cos, np.sin), effective_efficiency(m))
-    return phases, np.array(to_db(variance.tolist()))
-
-
-def _report(spec, db, unc_db):
-    """The report of a model trace's dB values, a list or an array; ValueError when one is not finite."""
-    if isinstance(db, list):
-        # a finite dB value is within ~3300 dB of 0, so the sum is finite exactly when each value is
-        lo, hi, finite = min(db), max(db), math.isfinite(sum(db))
-    else:   # numpy's extrema are NaN when a value is
-        lo, hi = float(db.min()), float(db.max())
-        finite = math.isfinite(lo) and math.isfinite(hi)
-    if not finite:
+        phases = phase_grid(a, b, n)
+        with np.errstate(over="ignore", invalid="ignore"):   # a walk that overflows is rejected below
+            variance = detected(_walk(cone, phases, np.cos, np.sin), eta).tolist()
+    db = to_db(variance)
+    # a finite dB value is within ~3300 dB of 0, so the sum is finite exactly when each value is
+    if not math.isfinite(sum(db)):
         raise ValueError("model trace is not finite: the measured variance is beyond a double")
-    return build_report(lo, hi, unc_db, factors=budget_factors(spec))
+    return phases, db, build_report(min(db), max(db), unc_db, factors=budget_factors(cone))
 
 
 def run_noiseless(spec):
@@ -129,9 +118,8 @@ def run_noiseless(spec):
     """
     cone = _cone(spec)
     floats = spec.measurement.sweep[2] * (len(cone.statements) + 1) <= FLOAT_WALK_LIMIT
-    phases, db = _float_trace(cone) if floats else _array_trace(cone)
-    report = _report(cone, db, 0.0)
-    return (phases, db, report) if floats else (phases.tolist(), db.tolist(), report)
+    phases, db, report = _model(cone, floats)
+    return (phases if floats else phases.tolist()), db, report
 
 
 def _propagate(spec):
@@ -178,30 +166,30 @@ def budget_factors(spec):
 def run_spec(spec, noiseless=True, seed=None):
     """Simulate a netlist's spec; returns (trace, report).
 
-    The returned trace is noisy when `noiseless` is false, in which case a
-    seed is required for reproducibility. Detection reads the measurement's
-    efficiency eta and, for a noisy trace, its M = rbw/vbw. A `CircuitSpec`
-    is valid by construction, so nothing here re-checks it. The model trace
-    and the report come from the backward walk of the measured mode's light
-    cone (`_cone`), which runs first; a model trace that is not finite (a
-    variance beyond a double) is rejected, not warned about by numpy.
+    The trace is noisy when `noiseless` is false, and then needs a seed; a
+    noiseless run takes none. Either mismatch is one ValueError before any
+    work. Detection reads the measurement's eta and, for a noisy trace, its
+    M = rbw/vbw; a `CircuitSpec` is valid by construction and not re-checked.
+    The model trace and the report come first, from `_model`'s array walk of
+    the measured mode's light cone (`_cone`); one that is not finite (a
+    variance beyond a double) is a ValueError, not a numpy warning.
 
-    After the walk, `compile_spec`, `GaussianChannel.apply` and `sweep`
-    still run on the whole chip's forward state, and their output is not
-    used: the benchmark's per-layer metrics (and `tests/test_bench_spans.py`)
-    read their timings from those calls, until a benchmark change takes them
-    off this path. Until then a chip whose dense state overflows outside the
-    measured mode's cone, or does not fit in memory, is rejected here, while
-    `run_noiseless` walks it.
+    After the walk, `compile_spec`, `GaussianChannel.apply` and `sweep` still
+    run on the whole chip's forward state, unused but timed by the benchmark's
+    per-layer metrics (and `tests/test_bench_spans.py`) until a benchmark
+    change takes them off this path. Until then a chip whose dense state
+    overflows outside the measured mode's cone, or does not fit in memory, is
+    rejected here, while `run_noiseless` walks it.
     """
+    if bool(noiseless) == (seed is not None):
+        raise ValueError(f"a noisy run needs a seed and a noiseless one takes none, "
+                         f"got noiseless={noiseless!r}, seed={seed!r}")
     import numpy as np
 
     m = spec.measurement
     m_samples = m.rbw / m.vbw
     unc_db = 0.0 if noiseless else math.sqrt(2.0 / m_samples) * 10.0 / math.log(10.0)
-    cone = _cone(spec)
-    phases, db = _array_trace(cone)
-    report = _report(cone, db, unc_db)
+    phases, db, report = _model(_cone(spec), False, unc_db)
     state, plan = _propagate(spec)
     with np.errstate(over="ignore", invalid="ignore"):   # its output is not read
         sweep(state, plan.mode, effective_efficiency(m), plan.phases)   # timed by the benchmark

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from sqzsim import (
     forward_measured,
     fresnel_efficiency,
     infer_generated,
+    measure_variance,
     pump_to_r,
     purity_product,
     report_to_json,
     total_efficiency,
+    vacuum,
 )
 
 REFERENCE_BUDGET = EfficiencyBudget(eta_fresnel=0.86, eta_filter=0.99, eta_pd=0.88, eta_e=0.95)
@@ -85,6 +88,18 @@ def test_budget_validation_and_optional_factors():
         "electronics": 0.95, "propagation": 0.98,
     }
     assert total_efficiency(budget) == pytest.approx(0.7117704 * 0.98, rel=1e-12)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: forward_measured(-2.0, 1.5), "eta must lie in [0, 1], got 1.5"),
+    (lambda: forward_measured(-2.0, -0.5), "eta must lie in [0, 1], got -0.5"),
+    (lambda: measure_variance(vacuum(1), 0, 0.0, math.nan), "eta must lie in [0, 1], got nan"),
+    (lambda: extrapolate_squeezing(0.058014, 40.0, 1.5), "eta_eff must lie in [0, 1], got 1.5"),
+], ids=["forward_measured-above", "forward_measured-below", "measure_variance-nan", "extrapolate-eta_eff"])
+def test_an_efficiency_is_checked_where_it_enters(call, message):
+    # `detected` is the bare loss formula; each public function checks its eta once
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_infer_generated_reference_points():

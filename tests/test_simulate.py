@@ -1,10 +1,13 @@
 """End-to-end simulation: channel applications per run and the efficiency total."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sqzsim
 from sqzsim import (
     CircuitSpec,
     Coupler,
@@ -92,6 +95,20 @@ def test_squeezing_beyond_double_precision_is_rejected_without_a_warning(r, raw_
     else:
         report = run_spec(spec, noiseless=noiseless, seed=None if noiseless else 1)[1]
         assert abs(report.raw_sq_db - raw_sq_db) <= 1e-9
+
+
+@pytest.mark.parametrize("noiseless,seed", [(True, 5), (False, None)])
+def test_run_spec_rejects_a_seed_that_does_not_fit_the_route_before_any_work(noiseless, seed, monkeypatch):
+    # a noiseless run that takes a seed would ignore it; a noisy one without a seed fails at once,
+    # not after the walk and the forward pass
+    def no_work(spec):
+        raise AssertionError("run_spec worked before checking its seed")
+
+    monkeypatch.setattr(sqzsim.simulate, "_cone", no_work)
+    monkeypatch.setattr(sqzsim.simulate, "_propagate", no_work)
+    message = f"a noisy run needs a seed and a noiseless one takes none, got noiseless={noiseless}, seed={seed}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_spec(parse(data_path("paper_chip.nl").read_text()), noiseless=noiseless, seed=seed)
 
 
 def _chip(n_modes, seed):

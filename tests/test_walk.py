@@ -44,7 +44,7 @@ from sqzsim import (
 )
 from sqzsim.cli import main
 from sqzsim.netlist import FRAME_LIMIT
-from sqzsim.simulate import _cone, run_noiseless
+from sqzsim.simulate import _cone, _model, run_noiseless
 
 TOL_DB = 1e-9
 SRC = str(Path(sqzsim.__file__).resolve().parent.parent)
@@ -301,3 +301,41 @@ def test_cone_gives_the_measured_modes_state():
         got = output_state(cone).cov[2 * j:2 * j + 2, 2 * j:2 * j + 2]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert cut > 100   # the cut drops statements from many of them
+
+
+def _noiseless_outcome(spec):
+    """`run_noiseless(spec)`, or the type and message of the error it raises."""
+    try:
+        return run_noiseless(spec)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def test_both_walks_of_the_model_give_the_same_outcome(monkeypatch):
+    # FLOAT_WALK_LIMIT 0 sends every run over arrays, inf every run over floats
+    runs = {}
+    for limit in (0, math.inf):
+        monkeypatch.setattr(sqzsim.simulate, "FLOAT_WALK_LIMIT", limit)
+        runs[limit] = [_noiseless_outcome(spec) for spec in _digest_specs()]
+    for k, (arrays, floats) in enumerate(zip(runs[0], runs[math.inf], strict=True)):
+        same = arrays == floats and repr(arrays) == repr(floats)   # repr tells -0.0 from 0.0
+        assert same, f"digest spec {k}: the array walk gives {arrays!r:.200}, the float walk {floats!r:.200}"
+    assert sum(isinstance(outcome[0], list) for outcome in runs[0]) > 300   # most of them run
+
+
+@settings(max_examples=40)
+@given(_chip_texts(), st.floats(0.05, 1.0))
+def test_a_loss_before_the_detector_moves_each_point_toward_shot_noise(text, eta):
+    spec = parse(text)
+    body, homodyne = text.rsplit("homodyne", 1)
+    lossy = parse(f"{body}loss {spec.measurement.mode} eta={eta!r}\nhomodyne{homodyne}")
+    for floats in (True, False):
+        try:
+            before = _model(_cone(spec), floats)[1]
+            after = _model(_cone(lossy), floats)[1]
+        except ValueError as exc:   # the budget inversion refuses a trace below its loss floor
+            assert "infeasible" in str(exc)
+            assume(False)
+        for old, new in zip(before, after, strict=True):
+            assert old * new >= 0.0 or abs(new) <= 1e-12   # on the same side of shot noise
+            assert abs(new) <= abs(old) + 1e-12
