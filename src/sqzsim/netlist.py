@@ -26,17 +26,19 @@ produced from vacuum, with 1.0 the pure minimum-uncertainty squeezer.
 `center_freq` (Hz) and `sweep_time` (s) are analyser metadata: they must be
 > 0 and round-trip through `pretty_print`, but no computation reads them.
 Exactly one homodyne statement is required and nothing may follow it.
+Numbers, sweep counts included, may be written in any script's decimal
+digits (`r=٣` is r=3.0); `pretty_print` writes ASCII.
 
 Each statement kind is one `_Statement` subclass, a frozen `_record.Record`
 declared with its keyword. Its fields, its cross-field `_check`, its
 `_block` builder and its `_back` step are what `parse`, `pretty_print`,
 `compile_spec` and `simulate`'s backward walk read; `_KEYS` holds each
-key's value rule once. A new element is one class. The statement records
-and `CircuitSpec` check themselves on construction with the parser's
-rules, so any spec is one `parse` accepts; `parse` itself checks each
-value once, as it reads it (a number's syntax, then only its range), and
-builds its statements and spec with `Record._trusted`, running only each
-statement's `_check`.
+key's value rule once, and each class its key -> `read` table and its
+required keys. A new element is one class. The statement records and
+`CircuitSpec` check themselves on construction with the parser's rules,
+so any spec is one `parse` accepts; `parse` reads and range-checks each
+`key=value` token in one call, fills each statement's fields without its
+constructor's checks and runs only its `_check`.
 
 Errors carry a position and one of six kinds: unknown-keyword,
 undeclared-mode, bad-number, out-of-range, duplicate-measurement,
@@ -45,10 +47,8 @@ parameters, duplicate mode declarations, statements after the measurement)
 report unknown-keyword; a coupler naming the same mode twice reports
 out-of-range. Parameter values are validated before mode references, so
 `loss sig eta=1.2` is an out-of-range error even if `sig` is undeclared.
-A line's tokens are its `str.split()` words. A fault names a token index
-(a structural fault) or the fields at fault (a value rule, a cross-field
-check, a missing key, an undeclared mode); both the token and its column
-are found only when an error reports them.
+A line's tokens are its `str.split()` words; the token at fault and its
+column are found only when an error reports them (see `_column`).
 
 `_back` is a statement's step of the backward (Heisenberg-picture) walk
 that computes the measured quadrature's variance (see `simulate`). Each mode
@@ -85,18 +85,12 @@ class NetlistParseError(Exception):
     """Positioned parse failure; `kind` is one of the six documented kinds."""
 
     def __init__(self, kind, line, col, message):
-        self.kind = kind
-        self.line = line
-        self.col = col
-        self.message = message
+        self.kind, self.line, self.col, self.message = kind, line, col, message
         super().__init__(f"line {line}, col {col}: {kind}: {message}")
 
 
 class _StatementError(ValueError):
-    """A netlist line or a statement's fields are at fault; `parse` reports `kind` at the token `where` names.
-
-    `where` is a token index, or the names of the fields at fault (see `_column`).
-    """
+    """A line or a statement's fields are at fault; `parse` reports `kind` at the token `where` names (`_column`)."""
 
     def __init__(self, kind, where, message):
         super().__init__(message)
@@ -127,12 +121,10 @@ def _column(line, where):
     return spans[where].start() + 1
 
 
-# a key's rule: `read(key, text)` checks a token's syntax, `fault(key, value, text or None)`
-# gives what is wrong with a value (a parse error of `kind`), `write` prints it; the errors
-# of both name the key, whose token `_column` finds on error. `text` is None for a value
-# given to a public constructor; with it, the value was read from it, so a number is a
-# finite float and only its range is left to check
-_Key = namedtuple("_Key", "read fault write kind", defaults=("out-of-range",))
+# a key's rule: `read(key, text)` reads a token's text and checks its range in one call, raising the
+# parse error; `fault(key, value)` says what is wrong with a value given to a public constructor, or
+# None; `write` prints a value. The errors name the key, whose token `_column` finds on error
+_Key = namedtuple("_Key", "read fault write")
 
 
 def _is_number(value):
@@ -140,26 +132,34 @@ def _is_number(value):
     return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max and float(value) == value
 
 
-def _number(holds, rule):
-    """Rule of a finite number that satisfies `holds`; `rule` words the out-of-range error."""
+def _number(low, high, rule):
+    """Rule of a finite number in [low, high]; `rule` words the out-of-range error."""
     def read(key, text):
-        if not _NUMBER.match(text):
-            _err("bad-number", (key,), f"'{text}' is not a number")
-        value = float(text)
-        if not math.isfinite(value):
-            _err("bad-number", (key,), f"'{text}' is not finite")
+        try:
+            value = float(text)   # takes every `_NUMBER` spelling, and `_`, inf and nan ones too
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or "_" in text:
+            _err("bad-number", (key,), f"'{text}' is {'not finite' if _NUMBER.match(text) else 'not a number'}")
+        if not low <= value <= high:
+            _err("out-of-range", (key,), f"{key}={text} {rule}")
         return value
 
-    def fault(key, value, text):
-        if text is None and not _is_number(value):
+    def fault(key, value):
+        if not _is_number(value):
             return f"{key}={value!r} is not a finite int or float that a double holds exactly"
-        return None if holds(value) else f"{key}={repr(value) if text is None else text} {rule}"
+        return None if low <= value <= high else f"{key}={value!r} {rule}"
     return _Key(read, fault, _fmt)
 
 
-def _label_fault(key, value, text):
-    ok = isinstance(value, str) and _IDENT.match(value)
-    return None if ok else f"label '{value}' must be a lowercase identifier"
+def _label_fault(key, value):
+    return None if isinstance(value, str) and _IDENT.match(value) else f"label '{value}' must be a lowercase identifier"
+
+
+def _read_label(key, text):
+    if message := _label_fault(key, text):
+        _err("unknown-keyword", (key,), message)
+    return text
 
 
 def _read_sweep(key, text):
@@ -173,28 +173,30 @@ def _read_sweep(key, text):
         _err("bad-number", (key,), f"sweep bounds in '{text}' are not finite")
     if not _INT.match(parts[2]):
         _err("bad-number", (key,), f"sweep count in '{text}' is not an integer")
-    digits = parts[2].lstrip("0") or "0"
+    # leading zeros go by value, in any script: each script's ten digits run from its zero
+    digits = parts[2].lstrip("".join({chr(ord(c) - int(c)) for c in set(parts[2])})) or "0"
     # int() refuses strings longer than 4300 digits; a count that long is over the cap anyway
     n = int(digits) if len(digits) <= len(str(MAX_SWEEP_POINTS)) else MAX_SWEEP_POINTS + 1
+    if (message := _sweep_fault(key, (a, b, n), f"'{text}'")) is not None:
+        _err("out-of-range", (key,), message)
     return (a, b, n)
 
 
-def _sweep_fault(key, value, text):
+def _sweep_fault(key, value, shown=None):
+    """What is wrong with `value` as a sweep, or None; `shown` quotes the token's text, if it was read."""
     if not (isinstance(value, tuple) and len(value) == 3 and _is_number(value[0]) and _is_number(value[1])
             and type(value[2]) is int):
         return f"sweep {value!r} must be a tuple (a, b, n) of two finite numbers and an int"
     a, b, n = float(value[0]), float(value[1]), value[2]
-
-    def shown():   # the value as an error message quotes it
-        return repr(value) if text is None else f"'{text}'"
+    shown = shown or repr(value)
     if n > MAX_SWEEP_POINTS:
-        return f"sweep count in {shown()} exceeds {MAX_SWEEP_POINTS}"
+        return f"sweep count in {shown} exceeds {MAX_SWEEP_POINTS}"
     if n < 2:
         return f"sweep needs at least 2 points, got {n}"
     if a == b:
-        return f"sweep {shown()} has equal bounds"
+        return f"sweep {shown} has equal bounds"
     if not (math.isfinite(b - a) and abs(b - a) / n > 2.0 * math.ulp(max(abs(a), abs(b)))):
-        return f"sweep {shown()} needs a finite b - a and a step |b - a|/n above 2 ulp of its bounds"
+        return f"sweep {shown} needs a finite b - a and a step |b - a|/n above 2 ulp of its bounds"
     return None
 
 
@@ -202,26 +204,25 @@ def _fmt(value):
     return repr(float(value))
 
 
-_IN_0_1 = _number(lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")
-_AT_LEAST_0 = _number(lambda v: v >= 0.0, "must be >= 0")
-_ABOVE_0 = _number(lambda v: v > 0.0, "must be > 0")
-_ANGLE = _number(lambda v: True, "")
+_IN_0_1 = _number(0.0, 1.0, "outside [0, 1]")
+_AT_LEAST_0 = _number(0.0, math.inf, "must be >= 0")
+_ABOVE_0 = _number(math.ulp(0.0), math.inf, "must be > 0")   # the least double above 0
+_ANGLE = _number(-math.inf, math.inf, "")
 
 # the one home of each key's range, shared by every statement that takes the key
 _KEYS = {
     "r": _AT_LEAST_0, "pump_mw": _AT_LEAST_0, "gain": _AT_LEAST_0,
     "phase": _ANGLE, "theta": _ANGLE,
-    "excess": _number(lambda v: v >= 1.0, "must be >= 1"),
+    "excess": _number(1.0, math.inf, "must be >= 1"),
     "eta": _IN_0_1, "ratio": _IN_0_1, "eta_pd": _IN_0_1, "eta_e": _IN_0_1, "visibility": _IN_0_1,
     "rbw": _ABOVE_0, "vbw": _ABOVE_0, "center_freq": _ABOVE_0, "sweep_time": _ABOVE_0,
-    "label": _Key(lambda key, text: text, _label_fault, str, "unknown-keyword"),
+    "label": _Key(_read_label, _label_fault, str),
     "sweep": _Key(_read_sweep, _sweep_fault, lambda sweep: f"{_fmt(sweep[0])}:{_fmt(sweep[1])}:{sweep[2]}"),
 }
 
 
 def _missing(keyword, keys):
-    message = f"{keyword} is missing required parameter(s) {', '.join(keys)}"
-    return _StatementError("unknown-keyword", (), message)
+    return _StatementError("unknown-keyword", (), f"{keyword} is missing required parameter(s) {', '.join(keys)}")
 
 
 FRAME_LIMIT = 64.0   # rad: a larger angle enters the backward walk reduced to one turn
@@ -253,6 +254,7 @@ class _Statement(Record):
     """Base of the statement kinds, one class each: `class Loss(_Statement, keyword="loss")`.
 
     Fields with a `_KEYS` rule are the kind's `_params`, name -> (default, fault); the others name modes.
+    `_readers` maps each parameter to its rule's `read` and `_required` holds those without a default.
     `_block(at)` is its raw channel block for `gaussian._layered`, `at` giving a mode's index.
     `_back(cone, cos, sin)` is its backward step, taken only for a statement in the measured
     mode's backward light cone (`simulate._cone`), so `cone` holds its mode (a coupler's, one
@@ -266,6 +268,8 @@ class _Statement(Record):
         cls._keyword = keyword
         cls._mode_fields = tuple(name for name, _ in cls._fields if name not in _KEYS)
         cls._params = {name: (default, _KEYS[name].fault) for name, default in cls._fields if name in _KEYS}
+        cls._readers = {name: _KEYS[name].read for name in cls._params}
+        cls._required = frozenset(name for name, (default, _) in cls._params.items() if default is MISSING)
         _KINDS[keyword] = cls
 
     def __post_init__(self):
@@ -274,7 +278,7 @@ class _Statement(Record):
                 raise ValueError(f"{name}={getattr(self, name)!r} is not a mode name")
         for key, (default, fault) in self._params.items():
             value = getattr(self, key)
-            if value is not default and (message := fault(key, value, None)) is not None:
+            if value is not default and (message := fault(key, value)) is not None:
                 raise ValueError(message)
         self._check()
 
@@ -402,7 +406,6 @@ class Homodyne(_Statement, keyword="homodyne"):
                                   f"rbw/vbw overflows: rbw={self.rbw}, vbw={self.vbw}")
 
 
-
 class CircuitSpec(Record):
     """Parsed netlist: declared modes, component statements in order, one measurement.
 
@@ -456,31 +459,29 @@ def _statement(kind, tokens, declared):
     count = len(kind._mode_fields)
     if len(tokens) <= count:
         _err("unknown-keyword", 0, f"{tokens[0]} needs {count} mode name(s)")
-    values = {}   # the record fields: mode names, then parameters
+    statement = object.__new__(kind)   # each value is checked as it is read, so no __post_init__
+    values = statement.__dict__
+    values.update(kind._defaults)
     for j, name in enumerate(kind._mode_fields, 1):
         if "=" in tokens[j]:
             _err("unknown-keyword", j, f"expected a mode name, got '{tokens[j]}'")
         values[name] = tokens[j]
+    readers, given = kind._readers, set()
     for j in range(count + 1, len(tokens)):
-        key, eq, given = tokens[j].partition("=")
-        if not eq:
-            _err("unknown-keyword", j, f"expected key=value, got '{tokens[j]}'")
-        if key not in kind._params:
-            _err("unknown-keyword", j, f"unknown parameter '{key}'")
-        if key in values:
+        key, eq, text = tokens[j].partition("=")
+        read = readers.get(key) if eq else None   # a bare known key is no key=value either
+        if read is None:
+            _err("unknown-keyword", j, f"unknown parameter '{key}'" if eq else f"expected key=value, got '{tokens[j]}'")
+        if key in given:
             _err("unknown-keyword", j, f"duplicate parameter '{key}'")
-        rule = _KEYS[key]
-        value = rule.read(key, given)
-        message = rule.fault(key, value, given)
-        if message is not None:
-            _err(rule.kind, (key,), message)
-        values[key] = value
-    missing = [key for key, (default, _) in kind._params.items() if default is MISSING and key not in values]
-    if missing:
-        raise _missing(tokens[0], missing)
-    statement = kind._trusted(**values)   # each value was checked as it was read
+        given.add(key)
+        values[key] = read(key, text)
+    if not kind._required <= given:
+        raise _missing(tokens[0], [key for key in readers if key in kind._required and key not in given])
     statement._check()
-    _check_declared(statement, declared)
+    for name in kind._mode_fields:
+        if values[name] not in declared:
+            _err("undeclared-mode", (name,), f"mode '{values[name]}' is not declared")
     return statement
 
 
@@ -498,8 +499,7 @@ def parse(source):
     lines = source.split("\n")
     declared = {}   # ordered, with O(1) lookups
     statements = []
-    measurement = None
-    measurement_line = None
+    measurement = measurement_line = None
 
     try:
         for line_no, raw in enumerate(lines, start=1):
