@@ -30,7 +30,7 @@ from sqzsim import (
     run_spec,
     vacuum,
 )
-from sqzsim.netlist import _TOKEN, MAX_SWEEP_POINTS
+from sqzsim.netlist import _KEYS, _NUMBER, _TOKEN, MAX_SWEEP_POINTS, _StatementError
 
 MINIMAL = "modes: sig\nsqueezer sig r=0.5\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:3.14159:64"
 
@@ -84,6 +84,12 @@ def test_out_of_range_reported_before_mode_resolution():
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=1e17:1.0000000000000002e17:4\n", "out-of-range", 2, 41),
     pytest.param("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:" + "9" * 5000,
                  "out-of-range", 2, 41, id="sweep-count-of-5000-digits"),
+    pytest.param("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:" + "\u0669" * 5000,
+                 "out-of-range", 2, 41, id="sweep-count-of-5000-arabic-indic-nines"),
+    pytest.param("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:" + "\u0660" * 5000 + "100001",
+                 "out-of-range", 2, 41, id="sweep-count-over-the-cap-after-arabic-indic-zeros"),
+    # a bare known key is not key=value
+    ("modes: sig\nloss sig eta\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4", "unknown-keyword", 2, 10),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 vbw=2e6\n", "out-of-range", 2, 53),
     ("modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 rbw=1e300 vbw=1e-300\n",
      "out-of-range", 2, 63),
@@ -116,6 +122,52 @@ def test_metadata_rejections_point_at_the_key(token):
     line = f"homodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4 {token}"
     e = err("modes: sig\n" + line)
     assert (e.kind, e.line, e.col) == ("out-of-range", 2, line.index(token) + 1)
+
+
+# a count's leading zeros go by value, in any script: U+0660 and U+0668 are Arabic-Indic 0 and 8
+@pytest.mark.parametrize("count", ["00000008", "\u0660" * 7 + "\u0668", "0" * 5000 + "8", "\u0660" * 5000 + "8",
+                                   "0\u06600\u0668"],
+                         ids=["ascii-zeros", "arabic-indic", "5000-ascii-zeros", "5000-arabic-indic-zeros", "mixed"])
+def test_sweep_count_leading_zeros_in_any_script(count):
+    spec = parse(f"modes: sig\nhomodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:6.28:{count}")
+    assert spec.measurement.sweep == (0.0, 6.28, 8)
+
+
+def test_numbers_may_use_any_scripts_decimal_digits():
+    # U+0663 and U+0668 are Arabic-Indic 3 and 8, U+FF11 and U+FF15 fullwidth 1 and 5
+    spec = parse("modes: sig\nsqueezer sig r=\u0663 phase=\uff11.\uff15\n"
+                 "homodyne sig eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:\u0668")
+    assert (spec.statements[0].r, spec.statements[0].phase) == (3.0, 1.5)
+    assert spec.measurement.sweep == (0.0, 1.0, 8)
+    text = pretty_print(spec)
+    assert text.isascii() and parse(text) == spec
+
+
+def _number_pattern_outcome(text):
+    """A number's value, or its error's (kind, message), as read by checking `_NUMBER` before float()."""
+    if not _NUMBER.match(text):
+        return "bad-number", f"'{text}' is not a number"
+    value = float(text)
+    return value if math.isfinite(value) else ("bad-number", f"'{text}' is not finite")
+
+
+def test_number_reader_accepts_what_the_number_pattern_accepts():
+    # the reader calls float() first, which takes more spellings than `_NUMBER`; it must
+    # give `_NUMBER`'s outcome for every code point between two digits (a token holds no
+    # whitespace), every ASCII character around a digit and float()'s other spellings
+    read = _KEYS["theta"].read   # no range to check, so only the reading shows
+
+    def outcome(text):
+        try:
+            return read("theta", text)
+        except _StatementError as exc:
+            return exc.kind, str(exc)
+    texts = ["1" + c + "5" for c in map(chr, range(0x110000)) if not c.isspace()]
+    texts += [form.format(c) for c in map(chr, range(128)) if not c.isspace() for form in ("{}", "{}5", "5{}")]
+    texts += ["1_0", "_1", "1_", "1__0", "1_0.5", "1.0_5", "1e1_0", "\u0661_\u0660", "+.5", "-.5e-3", "1.5E+3",
+              "inf", "+inf", "-inf", "Inf", "INF", "infinity", "-Infinity", "iNfInItY", "1e999", "-1e999", "1e-999",
+              "nan", "+nan", "-NaN", "NAN", "0x10", "1e", "e1", ".", "", "+", "-", "1.", "\u0663.\u0665e\u0662"]
+    assert [text for text in texts if outcome(text) != _number_pattern_outcome(text)] == []
 
 
 def test_sweep_count_cap_is_inclusive():
@@ -199,6 +251,28 @@ def test_pretty_print_round_trip_random_specs():
         spec = random_circuit_spec(rng)
         text = pretty_print(spec)
         assert parse(text) == spec
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_parameter_order_does_not_matter_and_a_repeated_parameter_is_at_fault(seed, data):
+    spec = random_circuit_spec(np.random.default_rng(seed))
+    lines = []
+    for line in pretty_print(spec).splitlines():
+        words = line.split()
+        params = [word for word in words if "=" in word]
+        lines.append(" ".join([word for word in words if "=" not in word] + data.draw(st.permutations(params))))
+    assert parse("\n".join(lines)) == spec
+    # a valid key=value token given again later in its line is at fault where it is repeated
+    at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
+    words = lines[at].split()
+    first = data.draw(st.sampled_from([j for j, word in enumerate(words) if "=" in word]))
+    later = data.draw(st.integers(first + 1, len(words)))
+    words.insert(later, words[first])
+    lines[at] = " ".join(words)
+    e = err("\n".join(lines))
+    assert (e.kind, e.line, e.col) == ("unknown-keyword", at + 1, len(" ".join(words[:later])) + 2)
+    assert e.message == f"duplicate parameter '{words[first].partition('=')[0]}'"
 
 
 # sha256 of the 20000 outcomes below, as the parser gave them before its
