@@ -9,10 +9,9 @@ assignment and prints as `Loss(mode='sig', eta=0.99, label=None)`. With
 `eq=True` (the default) records of the same class are equal, and hash
 alike, when their field tuples are; a class declared
 `class GaussianState(Record, eq=False)` compares by identity.
-`cls._trusted(**fields)` is the constructor that skips `__post_init__`,
-for values already checked; the netlist parser fills a statement's
-`__dict__` the same way, defaults first, as it reads each value. A
-`__post_init__` that normalises a field stores it with `vars(self).update`.
+`cls._trusted(**fields)` skips `__post_init__` for values already checked,
+as the netlist parser does inline for each statement. A `__post_init__`
+that normalises a field stores it with `vars(self).update`.
 
 This is the part of the standard `@dataclass(frozen=True)` that sqzsim
 uses, without importing its module (and with it `inspect`) or generating
