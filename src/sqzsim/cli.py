@@ -153,7 +153,8 @@ def _factors_from_args(args):
             raise ValueError("give either --eta or the per-factor budget flags, not both")
         return {"total": args.eta}
     if any(default is MISSING and name not in flags for name, default in fields):
-        raise ValueError("budget flags need --eta-fresnel, --eta-filter, --eta-pd and --eta-e")
+        *most, last = ["--" + name.replace("_", "-") for name, default in fields if default is MISSING]
+        raise ValueError(f"budget flags need {', '.join(most)} and {last}")
     return budget.EfficiencyBudget(**flags).factors()
 
 

@@ -48,14 +48,16 @@ report unknown-keyword; a coupler naming the same mode twice reports
 out-of-range. Parameter values are validated before mode references, so
 `loss sig eta=1.2` is an out-of-range error even if `sig` is undeclared.
 A line's tokens are its `str.split()` words; the token at fault and its
-column are found only when an error reports them (see `_column`).
+column are found, from `str.split()` again, only when an error reports
+them (see `_column`).
 
 `_back` is a statement's step of the backward (Heisenberg-picture) walk
 that computes the measured quadrature's variance (see `simulate`). Each mode
 in the measured mode's backward light cone carries a pair (w, alpha): the
 quadrature's coefficient vector on that mode is R(alpha) w. The walk takes
 the steps of the cone's statements alone (`simulate._cone`), so a step
-never meets a statement whose modes the cone does not hold. A step uses
+never meets a statement whose modes the cone does not hold; a coupler's
+mode that the cone does not hold yet enters it with w = 0. A step uses
 `cos` and `sin` as given, numpy's or `math`'s, and otherwise only +, - and
 *, so the same step runs on an array of all LO phases or on one float.
 This module imports no numpy.
@@ -78,7 +80,6 @@ MAX_SWEEP_POINTS = 100_000
 _IDENT = re.compile(r"[a-z][a-z0-9_]*\Z")
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _INT = re.compile(r"\d+\Z")
-_TOKEN = re.compile(r"\S+")
 
 
 class NetlistParseError(Exception):
@@ -107,18 +108,19 @@ def _column(line, where):
     `where` is a token index, or field names of the line's statement: a
     mode field's token follows the keyword, in field order, and a
     parameter's is the first token that gives its key; the first of the
-    fields that the line gives is at fault, else the keyword.
-    `_TOKEN` matches exactly the runs `str.split()` gives.
+    fields that the line gives is at fault, else the keyword. The column
+    is read off `str.split()` itself, whose last piece at maxsplit `where`
+    is the text from that token on.
     """
-    spans = list(_TOKEN.finditer(line.partition("#")[0]))
+    text = line.partition("#")[0]
     if not isinstance(where, int):
-        tokens = [span.group() for span in spans]
+        tokens = text.split()
         modes = _KINDS[tokens[0]]._mode_fields
         at = {name: j for j, name in enumerate(modes, 1)}
         for j in range(len(modes) + 1, len(tokens)):
             at.setdefault(tokens[j].partition("=")[0], j)
         where = next((at[name] for name in where if name in at), 0)
-    return spans[where].start() + 1
+    return len(text) - len(text.split(None, where)[where]) + 1
 
 
 # a key's rule: `read(key, text)` reads a token's text and checks its range in one call, raising the
@@ -253,32 +255,32 @@ _KINDS = {}   # keyword -> statement class, filled as each class is declared
 class _Statement(Record):
     """Base of the statement kinds, one class each: `class Loss(_Statement, keyword="loss")`.
 
-    Fields with a `_KEYS` rule are the kind's `_params`, name -> (default, fault); the others name modes.
-    `_readers` maps each parameter to its rule's `read` and `_required` holds those without a default.
+    Fields with a `_KEYS` rule are the kind's parameters; the others name modes. `_readers` maps each
+    parameter to its rule's `read` and `_required` holds those without a `Record._defaults` entry.
     `_block(at)` is its raw channel block for `gaussian._layered`, `at` giving a mode's index.
     `_back(cone, cos, sin)` is its backward step, taken only for a statement in the measured
     mode's backward light cone (`simulate._cone`), so `cone` holds its mode (a coupler's, one
-    of its two at least): it updates the (w1, w2, alpha) of its modes there and returns the
-    variance it adds to the measured quadrature, or None when it adds none.
-    Construction checks mode fields are str and the others obey their rule, then runs `_check`.
+    of its two at least, the other entering with w = 0): it updates the (w1, w2, alpha) of its
+    modes there and returns the variance it adds to the measured quadrature, or None when it adds none.
+    Construction checks mode fields are str and each other field that is not its default obeys its
+    `_KEYS` rule's `fault`, then runs `_check`; `pretty_print` writes the fields that differ from it.
     """
 
     def __init_subclass__(cls, keyword, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._keyword = keyword
         cls._mode_fields = tuple(name for name, _ in cls._fields if name not in _KEYS)
-        cls._params = {name: (default, _KEYS[name].fault) for name, default in cls._fields if name in _KEYS}
-        cls._readers = {name: _KEYS[name].read for name in cls._params}
-        cls._required = frozenset(name for name, (default, _) in cls._params.items() if default is MISSING)
+        cls._readers = {name: _KEYS[name].read for name, _ in cls._fields if name in _KEYS}
+        cls._required = frozenset(cls._readers.keys() - cls._defaults.keys())
         _KINDS[keyword] = cls
 
     def __post_init__(self):
         for name in self._mode_fields:
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name}={getattr(self, name)!r} is not a mode name")
-        for key, (default, fault) in self._params.items():
+        for key in self._readers:
             value = getattr(self, key)
-            if value is not default and (message := fault(key, value)) is not None:
+            if value is not self._defaults.get(key, MISSING) and (message := _KEYS[key].fault(key, value)):
                 raise ValueError(message)
         self._check()
 
@@ -351,18 +353,13 @@ class Coupler(_Statement, keyword="coupler"):
     def _back(self, cone, cos, sin):
         """w_b = R(alpha_b - alpha_a) w_b, then (w_a, w_b) = (t w_a - s w_b, s w_a + t w_b) at alpha_a.
 
-        t = sqrt(ratio), s = sqrt(1 - ratio). A mode not yet in the cone enters with w = 0.
+        t = sqrt(ratio), s = sqrt(1 - ratio). A mode not yet in the cone enters with w = 0 in the
+        other's frame; the result differs from dropping its terms only in the signs of zeros.
         """
         a, b = cone.get(self.mode_a), cone.get(self.mode_b)
         t, s = math.sqrt(self.ratio), math.sqrt(1.0 - self.ratio)
-        if a is None or b is None:   # the terms of the entering mode's w = 0 are dropped
-            w1, w2, alpha = a or b
-            ta, sa = (t, s) if b is None else (-s, t)
-            cone[self.mode_a] = (ta * w1, ta * w2, alpha)
-            cone[self.mode_b] = (sa * w1, sa * w2, alpha)
-            return None
-        a1, a2, alpha = a
-        b1, b2, beta = b
+        a1, a2, alpha = a or (0.0, 0.0, b[2])
+        b1, b2, beta = b or (0.0, 0.0, alpha)
         d = beta - alpha
         c, r = cos(d), sin(d)
         b1, b2 = c * b1 - r * b2, r * b1 + c * b2
@@ -541,9 +538,9 @@ def parse(source):
 def _statement_text(st):
     """Keyword, mode names, then `key=value` for each key that differs from its field default."""
     words = [st._keyword, *(str(getattr(st, name)) for name in st._mode_fields)]
-    for key, (default, _) in st._params.items():
+    for key in st._readers:
         value = getattr(st, key)
-        if value != default:
+        if value != st._defaults.get(key, MISSING):
             words.append(f"{key}={_KEYS[key].write(value)}")
     return " ".join(words)
 
