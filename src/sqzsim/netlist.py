@@ -48,8 +48,7 @@ report unknown-keyword; a coupler naming the same mode twice reports
 out-of-range. Parameter values are validated before mode references, so
 `loss sig eta=1.2` is an out-of-range error even if `sig` is undeclared.
 A line's tokens are its `str.split()` words; the token at fault and its
-column are found, from `str.split()` again, only when an error reports
-them (see `_column`).
+column are found from them only when an error reports them (`_column`).
 
 `_back` is a statement's step of the backward (Heisenberg-picture) walk
 that computes the measured quadrature's variance (see `simulate`). Each mode
@@ -354,15 +353,16 @@ class Coupler(_Statement, keyword="coupler"):
         """w_b = R(alpha_b - alpha_a) w_b, then (w_a, w_b) = (t w_a - s w_b, s w_a + t w_b) at alpha_a.
 
         t = sqrt(ratio), s = sqrt(1 - ratio). A mode not yet in the cone enters with w = 0 in the
-        other's frame; the result differs from dropping its terms only in the signs of zeros.
+        other's frame: the result differs from dropping its terms only in the signs of zeros.
         """
         a, b = cone.get(self.mode_a), cone.get(self.mode_b)
         t, s = math.sqrt(self.ratio), math.sqrt(1.0 - self.ratio)
         a1, a2, alpha = a or (0.0, 0.0, b[2])
         b1, b2, beta = b or (0.0, 0.0, alpha)
-        d = beta - alpha
-        c, r = cos(d), sin(d)
-        b1, b2 = c * b1 - r * b2, r * b1 + c * b2
+        if beta is not alpha:   # one frame object: R(0) is the identity, and skipping it keeps float w floats
+            d = beta - alpha
+            c, r = cos(d), sin(d)
+            b1, b2 = c * b1 - r * b2, r * b1 + c * b2
         cone[self.mode_a] = (t * a1 - s * b1, t * a2 - s * b2, alpha)
         cone[self.mode_b] = (s * a1 + t * b1, s * a2 + t * b2, alpha)
 
