@@ -19,9 +19,13 @@ is a sequence of layers: channels on disjoint modes commute, and their
 product is their tensor product, so `_layered` groups a chip's raw blocks
 into layers and joins each layer's blocks into one block-diagonal channel,
 and a chip costs one apply per layer. `LAYER_MODES` caps k, so a layer's
-block stays small however wide the chip.
+block stays small however wide the chip. Where each value goes follows
+from the chip's topology alone (its mode count and each block's modes),
+so `_plan` lays out the last topology once and a chip compiled again with
+other values only gathers and scatters them; no X or Y value is memoized.
 """
 
+import functools
 import math
 from collections import defaultdict
 
@@ -136,17 +140,19 @@ def _element(X, Y, n_modes, modes):
 
     X and Y are float arrays or nested lists of floats. Finite, completely
     positive and Y exactly symmetric by construction from scalars the
-    builders have checked, so nothing is checked here. It also stores the
-    row indices `apply` rewrites: a slice when they are contiguous
-    (indexing gives views) and an index array otherwise, which numpy
-    gathers faster than a list.
+    builders have checked, so nothing is checked here.
     """
-    if modes == tuple(range(modes[0], modes[0] + len(modes))):
-        rows = slice(2 * modes[0], 2 * (modes[0] + len(modes)))
-    else:
-        rows = np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp)
     X, Y = read_only(np.asarray(X, dtype=float)), read_only(np.asarray(Y, dtype=float))
-    return GaussianChannel._trusted(X=X, Y=Y, modes=modes, n_modes=n_modes, _rows=rows)
+    return GaussianChannel._trusted(X=X, Y=Y, modes=modes, n_modes=n_modes, _rows=_rows(modes))
+
+
+def _rows(modes):
+    """The state rows of the ordered `modes`, which `apply` rewrites: a slice when they are
+    contiguous (indexing gives views) and otherwise a read-only index array, which numpy
+    gathers faster than a list."""
+    if modes == tuple(range(modes[0], modes[0] + len(modes))):
+        return slice(2 * modes[0], 2 * (modes[0] + len(modes)))
+    return read_only(np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp))
 
 
 def _layers(block_modes):
@@ -184,48 +190,76 @@ def _layers(block_modes):
     return layers
 
 
+@functools.lru_cache(maxsize=1)
+def _plan(n_modes, block_modes):
+    """The layout `_layered` fills for an n_modes-mode chip of blocks on `block_modes`.
+
+    `block_modes` holds each block's tuple of mode indices; a block on k
+    modes has 2k rows, so where its values go follows from its modes alone.
+    `n_modes` is not read here: with the blocks' modes it makes the key a
+    chip's whole topology. Returns (order, cells, layers, end): `order` is
+    the block positions in the order their values are gathered, and
+    `cells` the buffer cell of each gathered value (a block's X then its
+    Y, row by row). Each layer of `_layers` is (start, middle, stop, shape,
+    modes, rows): its X is buffer[start:middle] and its Y
+    buffer[middle:stop], each of `shape`, on its blocks' `modes` in order,
+    with their `_rows`. `end` is the buffer's length. The arrays are
+    read-only and the rest tuples, so every compile of the topology, in any
+    thread, shares the one plan.
+    """
+    layers, end = [], 0
+    # rows -> the positions, corners and layer sizes of the blocks of that many rows
+    groups = defaultdict(lambda: ([], [], []))
+    for layer in _layers(block_modes):
+        # from a list: tuple() of a generator resizes its guess, which strands each
+        # freed tuple on a free list of a size it never takes from again
+        modes = tuple([m for i in layer for m in block_modes[i]])
+        size = 2 * len(modes)
+        corner = end   # where the next block's X[0][0] goes
+        for i in layer:
+            rows = 2 * len(block_modes[i])
+            positions, corners, sizes = groups[rows]
+            positions.append(i)
+            corners.append(corner)
+            sizes.append(size)
+            corner += rows * (size + 1)
+        middle = end + size * size
+        layers.append((end, middle, middle + size * size, (size, size), modes, _rows(modes)))
+        end = middle + size * size
+    order, cells = [], [np.zeros(0, np.intp)]   # the empty piece lets a chip with no blocks concatenate
+    for rows, (positions, corners, sizes) in groups.items():
+        y, i, j = np.indices((2, rows, rows)).reshape(3, -1)   # Y flag, row and column of each value
+        sizes = np.array(sizes)[:, None]
+        cells.append(np.array(corners)[:, None] + sizes * (i + sizes * y) + j)
+        order += positions
+    return tuple(order), read_only(np.concatenate(cells, axis=None)), tuple(layers), end
+
+
 def _layered(n_modes, blocks):
     """Element channels of raw `(modes, X, Y)` blocks in order, one per layer of `_layers`.
 
     A layer's channel acts on its blocks' modes in order, with the blocks'
     block-diagonal sum as its X and Y. Its blocks act on distinct modes and
     so commute, and applied in order the channels give the state of the
-    blocks applied one by one, in fewer applies. Every layer's X and Y
-    live in one zeroed buffer that one scatter fills, and each channel
+    blocks applied one by one, in fewer applies. The layout is `_plan`'s,
+    made once per topology; each call gathers the blocks' values in its
+    order into one fresh zeroed buffer with one scatter, and each channel
     holds read-only views of its part.
     """
-    parts, end = [], 0   # each layer's (modes, start in the buffer, size)
-    # rows -> the corners, layer sizes and values (X then Y, row by row) of the blocks of that many rows
-    groups = defaultdict(lambda: ([], [], []))
-    for layer in _layers([block[0] for block in blocks]):
-        # from a list: tuple() of a generator resizes its guess, which strands each
-        # freed tuple on a free list of a size it never takes from again
-        modes = tuple([m for i in layer for m in blocks[i][0]])
-        size = 2 * len(modes)
-        corner = end   # where the next block's X[0][0] goes
-        for i in layer:
-            _, X, Y = blocks[i]
-            corners, sizes, values = groups[len(X)]
-            corners.append(corner)
-            sizes.append(size)
-            for row in X:
-                values += row
-            for row in Y:
-                values += row
-            corner += len(X) * (size + 1)
-        parts.append((modes, end, size))
-        end += 2 * size * size
-    cells, values = [np.zeros(0, np.intp)], []   # the empty piece lets a chip with no blocks concatenate
-    for rows, (corners, sizes, group_values) in groups.items():
-        y, i, j = np.indices((2, rows, rows)).reshape(3, -1)   # Y flag, row and column of each value
-        sizes = np.array(sizes)[:, None]
-        cells.append(np.array(corners)[:, None] + sizes * (i + sizes * y) + j)
-        values += group_values
+    order, cells, layers, end = _plan(n_modes, tuple([block[0] for block in blocks]))
+    values = []
+    for i in order:
+        _, X, Y = blocks[i]
+        for row in X:
+            values += row
+        for row in Y:
+            values += row
     buffer = np.zeros(end)
-    buffer[np.concatenate(cells, axis=None)] = np.fromiter(values, float, len(values))
+    buffer[cells] = np.fromiter(values, float, len(values))
     read_only(buffer)   # and so every view of it
-    return [_element(*buffer[start:start + 2 * size * size].reshape(2, size, size), n_modes, modes)
-            for modes, start, size in parts]
+    return [GaussianChannel._trusted(X=buffer[start:middle].reshape(shape), Y=buffer[middle:stop].reshape(shape),
+                                     modes=modes, n_modes=n_modes, _rows=rows)
+            for start, middle, stop, shape, modes, rows in layers]
 
 
 def vacuum(n_modes):

@@ -166,10 +166,11 @@ def budget_factors(spec):
 def run_spec(spec, noiseless=True, seed=None):
     """Simulate a netlist's spec; returns (trace, report).
 
-    The trace is noisy when `noiseless` is false, and then needs a seed; a
-    noiseless run takes none. Either mismatch is one ValueError before any
-    work. Detection reads the measurement's eta and, for a noisy trace, its
-    M = rbw/vbw; a `CircuitSpec` is valid by construction and not re-checked.
+    The trace is noisy when `noiseless` is false, and then needs a seed, an
+    integer >= 0 (a Python or numpy int); a noiseless run takes none. Either
+    mismatch, and any other seed, is one ValueError before any work.
+    Detection reads the measurement's eta and, for a noisy trace, its M =
+    rbw/vbw; a `CircuitSpec` is valid by construction and not re-checked.
     The model trace and the report come first, from `_model`'s array walk of
     the measured mode's light cone (`_cone`); one that is not finite (a
     variance beyond a double) is a ValueError, not a numpy warning.
@@ -185,6 +186,9 @@ def run_spec(spec, noiseless=True, seed=None):
         raise ValueError(f"a noisy run needs a seed and a noiseless one takes none, "
                          f"got noiseless={noiseless!r}, seed={seed!r}")
     import numpy as np
+
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"a noise seed is an integer >= 0, got seed={seed!r}")
 
     m = spec.measurement
     m_samples = m.rbw / m.vbw

@@ -1,6 +1,8 @@
 """End-to-end simulation: channel applications per run and the efficiency total."""
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sqzsim
+from conftest import benchmark_module, random_circuit_spec
 from sqzsim import (
     CircuitSpec,
     Coupler,
@@ -18,6 +21,7 @@ from sqzsim import (
     Squeezer,
     compile_spec,
     data_path,
+    gaussian,
     output_state,
     parse,
     run_spec,
@@ -97,18 +101,30 @@ def test_squeezing_beyond_double_precision_is_rejected_without_a_warning(r, raw_
         assert abs(report.raw_sq_db - raw_sq_db) <= 1e-9
 
 
-@pytest.mark.parametrize("noiseless,seed", [(True, 5), (False, None)])
+@pytest.mark.parametrize("noiseless,seed", [(True, 5), (False, None), (False, 1.5), (False, -1), (False, "7"),
+                                             (False, np.array(3))])
 def test_run_spec_rejects_a_seed_that_does_not_fit_the_route_before_any_work(noiseless, seed, monkeypatch):
-    # a noiseless run that takes a seed would ignore it; a noisy one without a seed fails at once,
-    # not after the walk and the forward pass
+    # a noiseless run that takes a seed would ignore it; a noisy one without a seed, or with one
+    # that numpy's generator refuses, fails at once, not after the walk and the forward pass
+    # (a 0-d array passes operator.index but not the generator)
     def no_work(spec):
         raise AssertionError("run_spec worked before checking its seed")
 
     monkeypatch.setattr(sqzsim.simulate, "_cone", no_work)
     monkeypatch.setattr(sqzsim.simulate, "_propagate", no_work)
-    message = f"a noisy run needs a seed and a noiseless one takes none, got noiseless={noiseless}, seed={seed}"
+    if noiseless or seed is None:
+        message = f"a noisy run needs a seed and a noiseless one takes none, got noiseless={noiseless}, seed={seed}"
+    else:
+        message = f"a noise seed is an integer >= 0, got seed={seed!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_spec(parse(data_path("paper_chip.nl").read_text()), noiseless=noiseless, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), True, 0])
+def test_run_spec_takes_a_numpy_or_bool_seed_as_the_int_it_equals(seed):
+    spec = parse(data_path("paper_chip.nl").read_text())
+    trace = run_spec(spec, noiseless=False, seed=seed)[0]
+    assert trace.variance_db.tolist() == run_spec(spec, noiseless=False, seed=int(seed))[0].variance_db.tolist()
 
 
 def _chip(n_modes, seed):
@@ -202,6 +218,102 @@ def test_a_squeezer_on_every_mode_of_a_wide_chip_fills_capped_layers():
     assert all(len(channel.modes) == LAYER_MODES and channel.X.shape == (2 * LAYER_MODES,) * 2
                for channel in channels)
     assert sorted(m for channel in channels for m in channel.modes) == list(range(512))
+
+
+@pytest.fixture
+def plan():
+    gaussian._plan.cache_clear()
+    yield gaussian._plan
+    gaussian._plan.cache_clear()
+
+
+def _other_values(spec, k=0):
+    """`spec`'s topology, the same statement kinds on the same modes, with values drawn from `k`."""
+    values = {"squeezer": {"r": 0.1 + 0.1 * k, "phase": 0.7 - 0.2 * k}, "phaseshift": {"theta": 0.4 + k},
+              "coupler": {"ratio": (k + 1) / 10}, "loss": {"eta": (k + 1) / 10}}
+    statements = tuple(type(st)(**{name: getattr(st, name) for name in st._mode_fields}, **values[st._keyword])
+                       for st in spec.statements)
+    return CircuitSpec(modes=spec.modes, statements=statements, measurement=spec.measurement)
+
+
+def _layout(spec):
+    """Every compiled channel's X and Y bytes, shape, modes, mode count and rows."""
+    return [(c.X.tobytes(), c.Y.tobytes(), c.X.shape, c.Y.shape, c.modes, c.n_modes,
+             c._rows if isinstance(c._rows, slice) else (c._rows.dtype.str, c._rows.tobytes()))
+            for c in compile_spec(spec)[0]]
+
+
+def _plan_specs():
+    yield parse(data_path("paper_chip.nl").read_text())
+    yield parse(benchmark_module("workloads").stress_chip(401).text)
+    rng = np.random.default_rng(0)   # the digest's random specs
+    for _ in range(400):
+        yield random_circuit_spec(rng)
+
+
+def test_a_layout_plan_cannot_change_a_channel(plan):
+    # one plan per topology: a miss, a miss after another topology took the plan's
+    # place, and a hit after the same topology compiled with other values all give
+    # the same channels, bit for bit, and the same output state
+    other = parse("modes: a b c d e\nloss e eta=0.5\nhomodyne a eta_pd=1 eta_e=1 ratio=0.5 sweep=0:1:4\n")
+    index_rows = 0
+    for spec in _plan_specs():
+        plan.cache_clear()
+        miss = _layout(spec)
+        plan.cache_clear()
+        state = output_state(spec).cov.tobytes()
+        compile_spec(other)
+        assert _layout(spec) == miss
+        assert output_state(spec).cov.tobytes() == state
+        compile_spec(_other_values(spec))
+        hits = plan.cache_info().hits
+        assert _layout(spec) == miss
+        assert output_state(spec).cov.tobytes() == state
+        assert plan.cache_info().hits == hits + 2
+        index_rows += sum(not isinstance(layout[-1], slice) for layout in miss)
+    assert index_rows > 0   # some layers' rows are index arrays, whose read-only flag is checked below
+    for spec in _plan_specs():
+        compile_spec(spec)
+        assert plan.cache_info().currsize == 1
+        index = {name: i for i, name in enumerate(spec.modes)}
+        order, cells, layers, _ = plan(len(spec.modes), tuple(st._block(index)[0] for st in spec.statements))
+        assert not cells.flags.writeable
+        assert not any(rows.flags.writeable for *_, rows in layers if not isinstance(rows, slice))
+
+
+def test_threads_compiling_two_topologies_get_the_channels_of_serial_compiles(plan):
+    # eight threads, each with its own values, alternate between two topologies and so
+    # keep evicting one another's plan from the one-plan memo
+    topologies = [parse(data_path("paper_chip.nl").read_text()), _chip(16, seed=7)]
+    specs = [[_other_values(spec, k) for spec in topologies] for k in range(8)]
+    expected = []
+    for own in specs:
+        expected.append([])
+        for spec in own:
+            plan.cache_clear()
+            expected[-1].append(_layout(spec))
+    plan.cache_clear()
+    wrong = []
+
+    def work(k):
+        for i in range(200):
+            if _layout(specs[k][i % 2]) != expected[k][i % 2]:
+                wrong.append((k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    hits, misses, _, held = plan.cache_info()
+    assert hits + misses == 8 * 200 and held == 1
 
 
 def test_output_state_matches_dense_propagation():
